@@ -10,6 +10,7 @@ on; they use pytest-benchmark's standard multi-round measurement.  Set
 timing-ratio assertions while keeping every correctness assertion.
 """
 
+import gc
 import json
 import os
 import platform
@@ -31,7 +32,7 @@ from repro.model.context import make_process_ids
 from repro.model.run import Point
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, SerialBackend, run_ensemble
 from repro.sim.executor import Executor
 from repro.sim.failures import CrashPlan
 from repro.sim.process import uniform_protocol
@@ -56,14 +57,14 @@ def one_run(seed=0):
 
 
 def small_system():
-    return a5t_ensemble(
+    return run_ensemble(EnsembleSpec.a5t(
         PROCS,
         uniform_protocol(StrongFDUDCProcess),
         t=2,
         workload=lambda plan: post_crash_workload(PROCS, plan, actions_per_survivor=1),
         detector=PerfectOracle(),
         seeds=(0,),
-    )
+    ), backend=SerialBackend(), cache=None).system()
 
 
 def test_bench_executor_single_run(benchmark):
@@ -139,12 +140,12 @@ def test_bench_transform_f(benchmark):
 # tests, so what is benchmarked here is exactly what is proven correct
 # there.
 #
-# Two kernels are measured per operation: the PR 2 equivalence-class
-# kernel ("class", the committed baseline) and the struct-of-arrays
-# kernel ("columnar").  Timings are *warm*: the run objects are shared
-# across rounds, so per-run caches (prefix histories, timeline columns,
-# event hashes) are hot and the measurement isolates the kernel's own
-# work -- the regime the explorer and ensemble drivers actually run in.
+# The columnar kernel is measured per operation, anchored against the
+# naive point-scanning reference (:mod:`repro.knowledge.reference`) at
+# n <= 10.  Timings are *warm*: the run objects are shared across
+# rounds, so per-run caches (prefix histories, timeline columns, event
+# hashes) are hot and the measurement isolates the kernel's own work --
+# the regime the explorer and ensemble drivers actually run in.
 
 KERNEL_NS = (5, 10, 20)
 KERNEL_DURATION = 8
@@ -157,20 +158,10 @@ def kernel_system(n):
     )
 
 
-def build_class_kernel(runs):
-    system = System(runs, kernel="class")
-    for p in system.processes:
-        system.classes(p)
-    return system
-
-
 def build_columnar_kernel(runs):
-    system = System(runs, kernel="columnar")
+    system = System(runs)
     system.build_index()
     return system
-
-
-KERNEL_BUILDERS = {"class": build_class_kernel, "columnar": build_columnar_kernel}
 
 
 def _sweep_points(system):
@@ -196,37 +187,29 @@ def _naive_knows_sweep(system, points):
     return total
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("n", KERNEL_NS)
-def test_bench_kernel_index_build(benchmark, n, kernel):
-    """Index construction (class tables / columnar arena) for all n processes."""
+def test_bench_kernel_index_build(benchmark, n):
+    """Columnar index construction (arena + class tables) for all n processes."""
     runs = kernel_system(n).runs
 
-    system = benchmark(KERNEL_BUILDERS[kernel], runs)
-    if kernel == "class":
-        assert system.stats.index_builds == n
-        assert system.stats.points_indexed == n * system.point_count
-    else:
-        assert system.columnar_kernel() is not None
-        assert system.stats.arena_builds >= 1
+    system = benchmark(build_columnar_kernel, runs)
+    assert system.stats.arena_builds == 1
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("n", KERNEL_NS)
-def test_bench_kernel_knows_sweep(benchmark, n, kernel):
+def test_bench_kernel_knows_sweep(benchmark, n):
     """Warm known_crashed_set sweep over the sampled point workload."""
-    system = KERNEL_BUILDERS[kernel](kernel_system(n).runs)
+    system = build_columnar_kernel(kernel_system(n).runs)
     points = _sweep_points(system)
 
     total = benchmark(_knows_sweep, system, points)
     assert total == _naive_knows_sweep(system, points)
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("n", KERNEL_NS)
-def test_bench_kernel_ck_fixpoint(benchmark, n, kernel):
-    """The C_G fixpoint over the full group (warm class bits / arena)."""
-    system = KERNEL_BUILDERS[kernel](kernel_system(n).runs)
+def test_bench_kernel_ck_fixpoint(benchmark, n):
+    """The C_G fixpoint over the full group (warm arena)."""
+    system = build_columnar_kernel(kernel_system(n).runs)
     checker = GroupChecker(ModelChecker(system))
     group = system.processes
     phi = Crashed(system.processes[-1])
@@ -254,33 +237,39 @@ def _best_of(fn, *args, repeat=3):
     return best
 
 
-def _best_of_pair(thunk_a, thunk_b, repeat=5):
-    """Best-of timing for two thunks, rounds interleaved a,b,a,b,...
+def _interleaved_best(thunks, rounds=5):
+    """Best-of timings for (thunk, repeats-per-round) pairs, in alternation.
 
-    Ratios of the two results feed regression gates; interleaving means
-    an ambient load spike inflates both sides instead of silently
-    skewing whichever one it happened to land on.
+    Ratios of the results feed regression gates; sampling every thunk in
+    each round means an ambient load spike inflates both sides of a
+    ratio instead of silently skewing whichever one it landed on.  As in
+    :mod:`timeit`, the cyclic garbage collector is off while a thunk
+    runs, so a collection triggered by one side is not billed to it.
     """
-    best_a = best_b = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        thunk_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        thunk_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+    best = [float("inf")] * len(thunks)
+    for _ in range(rounds):
+        for i, (thunk, repeats) in enumerate(thunks):
+            for _ in range(repeats):
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    thunk()
+                    best[i] = min(best[i], time.perf_counter() - start)
+                finally:
+                    gc.enable()
+    return best
 
 
 def test_kernel_baseline_json():
-    """Measure the kernel family (class vs columnar vs naive), the arena
-    transfer microbenchmark, and write ``BENCH_kernel.json``.
+    """Measure the columnar kernel family against the naive reference,
+    the arena transfer microbenchmark, and write ``BENCH_kernel.json``.
 
-    The speedup gates -- columnar >= 5x class on index build and >= 3x
-    on the C_G fixpoint at n=20, transfer header <= 10% of the pickled
-    run batch -- are the issue's acceptance criteria; under
-    REPRO_BENCH_SMOKE=1 only the correctness assertions are enforced,
-    never the timing ratios.
+    The gated figures are ratios to the naive reference at n=10 (both
+    sides timed on the same machine in the same process): ``ck_speedup``
+    and ``knows_speedup`` divide the naive C_G / known-set sweep by the
+    columnar one, and ``index_speedup`` divides the naive known-set
+    sweep by the columnar index build.  Under REPRO_BENCH_SMOKE=1 only
+    the correctness assertions are enforced, never the timing ratios.
     """
     import pickle
 
@@ -291,75 +280,53 @@ def test_kernel_baseline_json():
     for n in KERNEL_NS:
         runs = kernel_system(n).runs
 
-        class_index_s, columnar_index_s = _best_of_pair(
-            lambda: build_class_kernel(runs),
-            lambda: build_columnar_kernel(runs),
-        )
-
-        cls = build_class_kernel(runs)
         col = build_columnar_kernel(runs)
-        points = _sweep_points(cls)
-        class_total = _knows_sweep(cls, points)
-        columnar_total = _knows_sweep(col, points)
-        assert columnar_total == class_total
-        class_sweep_s, columnar_sweep_s = _best_of_pair(
-            lambda: _knows_sweep(cls, points),
-            lambda: _knows_sweep(col, points),
-        )
-
-        group = cls.processes
-        phi = Crashed(cls.processes[-1])
-        checker_cls = GroupChecker(ModelChecker(cls))
+        points = _sweep_points(col)
+        group = col.processes
+        phi = Crashed(col.processes[-1])
         checker_col = GroupChecker(ModelChecker(col))
-        class_ck = checker_cls.common_knowledge_points(group, phi)
+        columnar_total = _knows_sweep(col, points)
         columnar_ck = checker_col.common_knowledge_points(group, phi)
-        assert columnar_ck == class_ck
-        class_ck_s, columnar_ck_s = _best_of_pair(
-            lambda: checker_cls.common_knowledge_points(group, phi),
-            lambda: checker_col.common_knowledge_points(group, phi),
-        )
+        columnar = [
+            (lambda: build_columnar_kernel(runs), 5),
+            (lambda: _knows_sweep(col, points), 10),
+            (lambda: checker_col.common_knowledge_points(group, phi), 10),
+        ]
+
+        if n > 10:  # the naive path is quadratic; skip it at n=20
+            index_s, sweep_s, ck_s = _interleaved_best(columnar)
+        else:
+            assert columnar_total == _naive_knows_sweep(col, points)
+            naive_checker = ModelChecker(System(runs))
+            naive_ck = naive_common_knowledge_points(naive_checker, group, phi)
+            assert columnar_ck == naive_ck
+            naive_sweep_s, naive_ck_s, index_s, sweep_s, ck_s = _interleaved_best(
+                [
+                    (lambda: _naive_knows_sweep(col, points), 1),
+                    (
+                        lambda: naive_common_knowledge_points(
+                            naive_checker, group, phi
+                        ),
+                        4,
+                    ),
+                ]
+                + columnar
+            )
 
         entry = {
             "runs": len(runs),
-            "points": cls.point_count,
-            "classes": sum(len(cls.classes(p)) for p in cls.processes),
-            "class_index_build_s": class_index_s,
-            "class_knows_sweep_s": class_sweep_s,
-            "class_ck_fixpoint_s": class_ck_s,
-            "columnar_index_build_s": columnar_index_s,
-            "columnar_knows_sweep_s": columnar_sweep_s,
-            "columnar_ck_fixpoint_s": columnar_ck_s,
-            "index_speedup_vs_class": (
-                class_index_s / columnar_index_s if columnar_index_s else float("inf")
-            ),
-            "knows_speedup_vs_class": (
-                class_sweep_s / columnar_sweep_s if columnar_sweep_s else float("inf")
-            ),
-            "ck_speedup_vs_class": (
-                class_ck_s / columnar_ck_s if columnar_ck_s else float("inf")
-            ),
+            "points": col.point_count,
+            "classes": col.columnar_kernel().total_classes,
+            "columnar_index_build_s": index_s,
+            "columnar_knows_sweep_s": sweep_s,
+            "columnar_ck_fixpoint_s": ck_s,
         }
-
-        if n <= 10:  # the naive path is quadratic; skip it at n=20
-            naive_total = _naive_knows_sweep(cls, points)
-            assert class_total == naive_total
-            naive_sweep_s = _best_of(_naive_knows_sweep, cls, points, repeat=1)
-
-            naive_checker = ModelChecker(System(runs, kernel="class"))
-            naive_ck = naive_common_knowledge_points(naive_checker, group, phi)
-            assert class_ck == naive_ck
-            naive_ck_s = _best_of(
-                naive_common_knowledge_points, naive_checker, group, phi, repeat=1
-            )
-
+        if n <= 10:
             entry["naive_knows_sweep_s"] = naive_sweep_s
             entry["naive_ck_fixpoint_s"] = naive_ck_s
-            entry["knows_speedup"] = (
-                naive_sweep_s / columnar_sweep_s if columnar_sweep_s else float("inf")
-            )
-            entry["ck_speedup"] = (
-                naive_ck_s / columnar_ck_s if columnar_ck_s else float("inf")
-            )
+            entry["index_speedup"] = naive_sweep_s / index_s
+            entry["knows_speedup"] = naive_sweep_s / sweep_s
+            entry["ck_speedup"] = naive_ck_s / ck_s
 
         results[f"n={n}"] = entry
 
@@ -400,8 +367,9 @@ def test_kernel_baseline_json():
             "crash_prob": 0.4,
             "sweep_sample_runs": SWEEP_SAMPLE_RUNS,
             "timer": (
-                "best of 5 interleaved class/columnar perf_counter runs "
-                "(naive: 1), warm run objects"
+                "best of 5 interleaved rounds of perf_counter runs (per "
+                "round: naive sweep 1, naive C_G 4, columnar index 5, "
+                "sweep/C_G 10), gc off while timing, warm run objects"
             ),
         },
         "results": results,
@@ -410,12 +378,10 @@ def test_kernel_baseline_json():
     BENCH_KERNEL_JSON.write_text(json.dumps(baseline, indent=2) + "\n")
 
     if not SMOKE:
-        at20 = results["n=20"]
-        assert at20["index_speedup_vs_class"] >= 5.0, at20
-        assert at20["ck_speedup_vs_class"] >= 3.0, at20
         at10 = results["n=10"]
+        assert at10["index_speedup"] >= 320.0, at10
         assert at10["knows_speedup"] >= 5.0, at10
-        assert at10["ck_speedup"] >= 5.0, at10
+        assert at10["ck_speedup"] >= 45.0, at10
         assert transfer["transfer_ratio"] <= 0.10, transfer
 
 

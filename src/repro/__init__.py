@@ -90,7 +90,6 @@ from repro.runtime import (
     run_ensemble,
     run_spec,
 )
-from repro.sim.ensembles import a5t_ensemble, build_ensemble
 from repro.sim.executor import ExecutionConfig, Executor, execute
 from repro.sim.failures import CrashPlan
 from repro.sim.process import ProtocolProcess, uniform_protocol
@@ -136,9 +135,7 @@ __all__ = [
     "UniformityMonitor",
     "Violation",
     "WeakOracle",
-    "a5t_ensemble",
     "action_id",
-    "build_ensemble",
     "execute",
     "explore",
     "replay_exploration",

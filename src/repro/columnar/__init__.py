@@ -14,7 +14,7 @@ dicts), and rebuilds the kernel on top of it:
   ``decode_runs`` round trips between ``tuple[Run, ...]`` and the arena;
 * :mod:`repro.columnar.kernel` -- :class:`ColumnarKernel`, the bulk-array
   evaluation of crash masks, ~_p classes (CSR layout), Knows and the
-  C_G/E^k fixpoints, selected by ``System(..., kernel="columnar")``;
+  C_G/E^k fixpoints behind every :class:`~repro.model.system.System`;
 * :mod:`repro.columnar.transfer` -- ships arenas to/from pool workers
   via ``multiprocessing.shared_memory`` with a tiny pickled header;
 * :mod:`repro.columnar.jsonio` -- stable JSON form of an arena for the

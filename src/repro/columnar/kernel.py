@@ -1,9 +1,9 @@
 """The columnar epistemic kernel: bulk-array Knows / E^k / C_G.
 
-Where the class kernel (:mod:`repro.model.system`) buckets points into
-:class:`~repro.model.system.EquivClass` objects one dict probe at a
-time, this kernel derives the same structure as flat arrays over the
-global point numbering (point ``(runs[i], m)`` has id ``base[i] + m``):
+The one production ~_p kernel behind :class:`~repro.model.system.System`
+(the naive oracle lives in :mod:`repro.knowledge.reference`).  It
+derives the equivalence classes as flat arrays over the global point
+numbering (point ``(runs[i], m)`` has id ``base[i] + m``):
 
 * ``crash rows``  -- one int crash bitmask per point (bit j = process j
   crashed), taken verbatim from ``Run.crash_masks``;
@@ -12,7 +12,7 @@ global point numbering (point ``(runs[i], m)`` has id ``base[i] + m``):
   per-process ~_p classes are exactly the distinct node ids;
 * ``class tables`` -- per process: a dense ``point -> class`` row
   (classes numbered globally across processes, first-occurrence order
-  within each process, matching ``System.classes``) and a CSR layout
+  within each process) and a CSR layout
   (``class_points_csr`` / ``class_offsets_csr`` / ``class_sizes``) of
   the members of every class, in ascending point-id order;
 * ``known masks`` -- per class, the AND of its members' crash rows
@@ -22,8 +22,7 @@ One E_G step is then five array operations *total* (gather members,
 segment-sum, compare to sizes, gather per point, AND across the group)
 instead of a Python loop over classes, and the C_G greatest fixpoint
 iterates that step on a boolean point vector.  Without numpy the same
-sweeps run over Python-int bitsets (the class kernel's representation)
--- identical results.
+sweeps run over Python-int bitsets -- identical results.
 
 Point sets cross the kernel boundary as an opaque ``PointSet`` (numpy
 bool vector or int bitset); callers use :meth:`ColumnarKernel.full_set`,
@@ -274,8 +273,8 @@ class ColumnarKernel:
         seg_nodes, seg_counts = self._history_rows()
         self._seg_nodes = seg_nodes
         self._seg_counts = seg_counts
-        # Classes are numbered in first-occurrence order (the order
-        # System.classes uses).  The per-process node -> local class id
+        # Classes are numbered in first-occurrence order over the point
+        # numbering.  The per-process node -> local class id
         # tables persist past the build so :meth:`refined` can continue
         # the numbering exactly where this build left off.
         self._node_to_cid: list[dict[int, int]] = []
@@ -365,9 +364,8 @@ class ColumnarKernel:
     def known_masks(self) -> list[int]:
         """Per-class crash-knowledge masks, built on first query.
 
-        The class kernel computes known sets per query, not at build;
-        the columnar build matches that laziness so the index-build
-        benchmark compares grouping work against grouping work.
+        Lazy so an index build pays only for grouping: systems that
+        never ask a crash-knowledge question never compute them.
         """
         masks = self._known_masks_cache
         if masks is None:
@@ -454,7 +452,7 @@ class ColumnarKernel:
         history materialization); foreign points fall back to walking
         their local history through the hash-cons trie, so a foreign
         point whose history *does* occur in the system still lands in
-        the right class -- matching ``System.class_of``.
+        the right class.
         """
         system = self.system
         j = system.process_bit(process)

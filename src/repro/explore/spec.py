@@ -1,9 +1,6 @@
 """The exploration specification: what to enumerate, and how hard to reduce.
 
-This is the home of :class:`ExploreSpec` (moved here from
-``repro.runtime.spec``; the old import path re-exports it with a
-``DeprecationWarning``).  The old boolean ``por``/``fingerprints``
-toggles are replaced by one ``reduction`` mode plus a
+:class:`ExploreSpec` selects one ``reduction`` mode plus a
 :class:`ReductionConfig` of per-technique switches:
 
 * ``reduction="none"`` -- the unreduced reference semantics: one branch
@@ -23,11 +20,6 @@ toggles are replaced by one ``reduction`` mode plus a
   an automatic asymmetry detector (pinned workload initiators, pid-
   mentioning protocol kwargs, attached detectors) disables the quotient
   safely, never unsoundly.
-
-The legacy keyword arguments still work for one release::
-
-    ExploreSpec(..., por=False)        # DeprecationWarning -> reduction="none"
-    ExploreSpec(..., fingerprints=...) # DeprecationWarning -> ignored (retired)
 """
 
 from __future__ import annotations
@@ -35,9 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import pickle
-import warnings
-from dataclasses import InitVar, dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from repro.detectors.base import DetectorOracle
 from repro.model.context import Context
@@ -82,30 +72,6 @@ class ReductionConfig:
             raise ValueError("symmetry must be 'auto', 'on', or 'off'")
 
 
-def _legacy_reduction(
-    por: Optional[bool], fingerprints: Optional[bool]
-) -> Optional[str]:
-    """Map the retired boolean toggles onto a reduction mode (warning)."""
-    mode: Optional[str] = None
-    if por is not None:
-        warnings.warn(
-            "ExploreSpec(por=...) is deprecated; use "
-            "reduction='dpor' / reduction='none' instead",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        mode = "dpor" if por else "none"
-    if fingerprints is not None:
-        warnings.warn(
-            "ExploreSpec(fingerprints=...) is deprecated and ignored: "
-            "fingerprint pruning was retired in favour of dynamic "
-            "partial-order reduction (reduction='dpor')",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-    return mode
-
-
 @dataclass(frozen=True)
 class ExploreSpec:
     """A bounded exhaustive exploration, declaratively.
@@ -142,16 +108,8 @@ class ExploreSpec:
     strategy: str = "dfs"
     max_executions: int | None = None
     context: Context | None = None
-    #: Retired boolean toggles, accepted for one release with a warning.
-    por: InitVar[Optional[bool]] = None
-    fingerprints: InitVar[Optional[bool]] = None
 
-    def __post_init__(
-        self, por: Optional[bool], fingerprints: Optional[bool]
-    ) -> None:
-        legacy = _legacy_reduction(por, fingerprints)
-        if legacy is not None:
-            object.__setattr__(self, "reduction", legacy)
+    def __post_init__(self) -> None:
         object.__setattr__(self, "processes", tuple(self.processes))
         object.__setattr__(self, "crash_ticks", tuple(self.crash_ticks))
         object.__setattr__(self, "workload", tuple(sorted(self.workload)))
@@ -174,17 +132,7 @@ class ExploreSpec:
             raise ValueError("strategy must be 'dfs' or 'bfs'")
 
     def with_(self, **changes: object) -> "ExploreSpec":
-        """A copy with the given fields replaced (sweep helper).
-
-        Accepts the retired ``por``/``fingerprints`` keys for one
-        release, mapping them onto ``reduction`` with a warning.
-        """
-        legacy = _legacy_reduction(
-            changes.pop("por", None),  # type: ignore[arg-type]
-            changes.pop("fingerprints", None),  # type: ignore[arg-type]
-        )
-        if legacy is not None:
-            changes.setdefault("reduction", legacy)
+        """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **changes)  # type: ignore[arg-type]
 
     def crash_plans(self) -> tuple[CrashPlan, ...]:

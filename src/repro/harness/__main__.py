@@ -78,8 +78,6 @@ usage: python -m repro.harness explore [options]
 
 def _explore_main(argv: list[str]) -> int:
     """``python -m repro.harness explore ...``: exhaustive bounded checking."""
-    import warnings
-
     from repro.core.protocols import NUDCProcess, ReliableUDCProcess
     from repro.explore import (
         ExploreSpec,
@@ -104,8 +102,7 @@ def _explore_main(argv: list[str]) -> int:
         "--workers": "1",
         "--strategy": "dfs",
     }
-    flags = {"--lossy", "--no-por", "--no-fingerprints", "--stop-on-violation",
-             "--shrink", "--help", "-h"}
+    flags = {"--lossy", "--stop-on-violation", "--shrink", "--help", "-h"}
     given: set[str] = set()
     args = list(argv)
     while args:
@@ -129,19 +126,6 @@ def _explore_main(argv: list[str]) -> int:
         print(f"unknown protocol {opts['--protocol']!r} (nudc | reliable)")
         return 2
     init_proc, _, init_tick = opts["--init"].partition(":")
-    reduction = opts["--reduction"]
-    for legacy, replacement in (
-        ("--no-por", "--reduction none"),
-        ("--no-fingerprints", "--reduction dpor"),
-    ):
-        if legacy in given:
-            warnings.warn(
-                f"{legacy} is deprecated; use {replacement}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    if "--no-por" in given:
-        reduction = "none"
     try:
         spec = ExploreSpec(
             processes=make_process_ids(int(opts["--n"])),
@@ -154,7 +138,7 @@ def _explore_main(argv: list[str]) -> int:
             workload=single_action(init_proc, tick=int(init_tick or "1")),
             lossy="--lossy" in given,
             max_consecutive_drops=int(opts["--drop-budget"]),
-            reduction=reduction,
+            reduction=opts["--reduction"],
             strategy=opts["--strategy"],
         )
     except ValueError as exc:

@@ -41,12 +41,16 @@ def insensitive_to_failure(
     phi's truth there with its truth at points carrying history h.
     """
     system = checker.system
-    # One representative point per ~_process class; the kernel's class
-    # table enumerates histories in first-occurrence order, so this is
-    # the same scan as before minus the per-point re-hashing.
-    seen: dict[History, Point] = {
-        cls.history: cls.representative for cls in system.classes(process)
-    }
+    kernel = system.columnar_kernel()
+    # One representative point per ~_process class; the kernel numbers
+    # process j's classes class_base[j] .. class_base[j+1] - 1 in
+    # first-occurrence order, so this is one scan over the class ids.
+    j = system.process_bit(process)
+    bounds = kernel.class_base + [kernel.total_classes]
+    seen: dict[History, Point] = {}
+    for cid in range(bounds[j], bounds[j + 1]):
+        representative = kernel.points_of_class(cid)[0]
+        seen[representative.history(process)] = representative
     for history, point in seen.items():
         if not history.crashed:
             continue

@@ -7,9 +7,8 @@ This package implements the paper's run-based model verbatim:
 * :mod:`repro.model.history` -- per-process histories and cuts.
 * :mod:`repro.model.run` -- runs (functions from time to cuts), points,
   and validators for conditions R1--R5.
-* :mod:`repro.model.system` -- systems (sets of runs) with the
-  class-based indistinguishability kernel (interned histories,
-  equivalence classes, crash bitmasks) used for knowledge evaluation.
+* :mod:`repro.model.system` -- systems (sets of runs) and the K_p
+  primitives, answered by the columnar kernel (:mod:`repro.columnar`).
 * :mod:`repro.model.context` -- contexts: failure bounds, channel
   semantics, and failure-detector specifications.
 """
@@ -29,7 +28,7 @@ from repro.model.events import (
 )
 from repro.model.history import Cut, History, HistoryInterner
 from repro.model.run import Point, Run, RunValidationError, validate_run
-from repro.model.system import EquivClass, KernelStats, System
+from repro.model.system import KernelStats, System
 
 __all__ = [
     "ChannelSemantics",
@@ -37,7 +36,6 @@ __all__ = [
     "CrashEvent",
     "Cut",
     "DoEvent",
-    "EquivClass",
     "Event",
     "GeneralizedSuspicion",
     "History",

@@ -24,16 +24,15 @@ Disk integrity (the cache must never poison an ensemble):
   read; a mismatch (bit rot, tampering, a torn legacy write) quarantines
   the file (renamed to ``*.corrupt``, recorded in ``quarantined``) and
   reads as a miss, so the run is silently regenerated;
-* the pre-integrity v1 formats (a raw run dict / the v1 exploration
-  payload) are still readable -- without a checksum there is nothing to
-  verify, but parse failures quarantine the same way.
+* one format per entry kind is readable (run entries v2, exploration
+  entries v4); an entry in any older format fails the same integrity
+  check and is quarantined and regenerated -- the cache is a cache.
 
 Exploration groups are written in the v4 *arena* format: the whole run
 set rides as one :class:`repro.columnar.RunArena` (distinct events
 encoded once, occurrences as packed integers), which is roughly an
-order of magnitude smaller than the per-run timeline dicts of v2/v3.
-All earlier formats stay readable; ``bytes_written`` / ``bytes_read``
-track disk entry sizes.
+order of magnitude smaller than per-run timeline dicts.
+``bytes_written`` / ``bytes_read`` track disk entry sizes.
 
 ``run_ensemble`` consults the process-wide default cache unless told
 otherwise; disable with ``run_ensemble(..., cache=None)``.
@@ -57,9 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _RUN_FORMAT = "repro-run-entry-v2"
 _EXPLORE_FORMAT_V4 = "repro-exploration-v4"
-_EXPLORE_FORMAT_V3 = "repro-exploration-v3"
-_EXPLORE_FORMAT = "repro-exploration-v2"
-_EXPLORE_FORMAT_V1 = "repro-exploration-v1"
 
 #: One recorded search leaf: (crash plan, choice trace, is-fixpoint,
 #: index of its run in the entry's run list).  Leaves are what let the
@@ -75,9 +71,9 @@ class CacheIntegrityError(ValueError):
 class ExplorationEntry:
     """One cached exhaustive exploration.
 
-    ``leaves`` is the search's complete leaf coordinate set (present for
-    v3 entries; ``None`` for entries written before leaves were
-    recorded, which simply cannot seed incremental extension).
+    ``leaves`` is the search's complete leaf coordinate set (``None``
+    when the writer recorded none; such an entry simply cannot seed
+    incremental extension).
     """
 
     runs: tuple[Run, ...]
@@ -115,20 +111,17 @@ def _decode_run_entry(text: str) -> Run:
         raise CacheIntegrityError(f"unparseable cache entry: {exc}") from exc
     if not isinstance(payload, dict):
         raise CacheIntegrityError("cache entry is not a JSON object")
-    if payload.get("format") == _RUN_FORMAT:
-        body = payload.get("run")
-        stored = payload.get("sha256")
-        if _body_sha256(body) != stored:
-            raise CacheIntegrityError(
-                "content digest mismatch: entry bytes do not match their "
-                "recorded sha256 (torn write, bit rot, or tampering)"
-            )
-        return run_from_dict(body)
-    if "version" in payload:  # legacy v1: a raw run dict, no checksum
-        return run_from_dict(payload)
-    raise CacheIntegrityError(
-        f"unrecognized cache entry format {payload.get('format')!r}"
-    )
+    if payload.get("format") != _RUN_FORMAT:
+        raise CacheIntegrityError(
+            f"unrecognized cache entry format {payload.get('format')!r}"
+        )
+    body = payload.get("run")
+    if _body_sha256(body) != payload.get("sha256"):
+        raise CacheIntegrityError(
+            "content digest mismatch: entry bytes do not match their "
+            "recorded sha256 (torn write, bit rot, or tampering)"
+        )
+    return run_from_dict(body)
 
 
 class RunCache:
@@ -137,7 +130,7 @@ class RunCache:
     Holds two kinds of entries under one namespace: single runs keyed by
     :func:`spec_digest` (``run_ensemble``), and whole *exploration
     groups* -- the complete run set of an
-    :class:`~repro.runtime.spec.ExploreSpec` plus its
+    :class:`~repro.explore.spec.ExploreSpec` plus its
     :class:`~repro.explore.reduction.ExploreStats` -- keyed by
     ``ExploreSpec.digest()``.  Only exhaustive explorations are ever
     stored, so a group hit can never silently hide part of a run set.
@@ -366,9 +359,10 @@ def _save_exploration(entry: ExplorationEntry, path: Path) -> int:
 
 
 def _load_exploration(text: str) -> ExplorationEntry:
-    """Parse any exploration entry format (v4 arena, v3/v2 run dicts, v1)."""
+    """Parse and verify a v4 (arena-bytes) exploration entry."""
+    from repro.columnar.arena import decode_runs
+    from repro.columnar.jsonio import arena_from_jsonable
     from repro.explore.reduction import ExploreStats
-    from repro.model.serialize import run_from_dict
     from repro.sim.failures import CrashPlan
 
     try:
@@ -378,58 +372,44 @@ def _load_exploration(text: str) -> ExplorationEntry:
     if not isinstance(payload, dict):
         raise CacheIntegrityError("exploration entry is not a JSON object")
     fmt = payload.get("format")
-    if fmt in (_EXPLORE_FORMAT, _EXPLORE_FORMAT_V3, _EXPLORE_FORMAT_V4):
-        body = payload.get("body")
-        if _body_sha256(body) != payload.get("sha256"):
-            raise CacheIntegrityError(
-                "content digest mismatch on exploration entry"
-            )
-        if not isinstance(body, dict):
-            raise CacheIntegrityError("exploration body is not a JSON object")
-    elif fmt == _EXPLORE_FORMAT_V1:  # legacy: body at top level, no checksum
-        body = payload
-    else:
+    if fmt != _EXPLORE_FORMAT_V4:
         raise CacheIntegrityError(f"unrecognized exploration format {fmt!r}")
+    body = payload.get("body")
+    if _body_sha256(body) != payload.get("sha256"):
+        raise CacheIntegrityError("content digest mismatch on exploration entry")
+    if not isinstance(body, dict):
+        raise CacheIntegrityError("exploration body is not a JSON object")
     known = {f.name for f in dataclasses.fields(ExploreStats)}
     stats = ExploreStats(
         **{k: v for k, v in body.get("stats", {}).items() if k in known}
     )
-    if fmt == _EXPLORE_FORMAT_V4:
-        from repro.columnar.arena import decode_runs
-        from repro.columnar.jsonio import arena_from_jsonable
-
-        raw_arena = body.get("arena")
-        if raw_arena is None:
-            runs: tuple[Run, ...] = ()
-        elif isinstance(raw_arena, dict):
-            runs = decode_runs(arena_from_jsonable(raw_arena))
-        else:
-            raise CacheIntegrityError("v4 exploration arena is not an object")
+    raw_arena = body.get("arena")
+    if raw_arena is None:
+        runs: tuple[Run, ...] = ()
+    elif isinstance(raw_arena, dict):
+        runs = decode_runs(arena_from_jsonable(raw_arena))
     else:
-        runs = tuple(run_from_dict(entry) for entry in body.get("runs", ()))
+        raise CacheIntegrityError("v4 exploration arena is not an object")
     leaves: tuple[LeafRecord, ...] | None = None
-    if fmt in (_EXPLORE_FORMAT_V3, _EXPLORE_FORMAT_V4):
-        raw_leaves = body.get("leaves")
-        if raw_leaves is None and fmt == _EXPLORE_FORMAT_V4:
-            pass  # v4 entries may legitimately record no leaves
-        elif not isinstance(raw_leaves, list):
-            raise CacheIntegrityError("v3 exploration entry without leaves")
-        else:
-            decoded: list[LeafRecord] = []
-            for crashes, trace, fixpoint, run_index in raw_leaves:
-                if not 0 <= int(run_index) < len(runs):
-                    raise CacheIntegrityError(
-                        "exploration leaf points outside its run list"
-                    )
-                decoded.append(
-                    (
-                        CrashPlan.of({pid: int(tick) for pid, tick in crashes}),
-                        tuple(int(i) for i in trace),
-                        bool(fixpoint),
-                        int(run_index),
-                    )
+    raw_leaves = body.get("leaves")
+    if raw_leaves is not None:  # v4 entries may legitimately record no leaves
+        if not isinstance(raw_leaves, list):
+            raise CacheIntegrityError("exploration leaves are not a list")
+        decoded: list[LeafRecord] = []
+        for crashes, trace, fixpoint, run_index in raw_leaves:
+            if not 0 <= int(run_index) < len(runs):
+                raise CacheIntegrityError(
+                    "exploration leaf points outside its run list"
                 )
-            leaves = tuple(decoded)
+            decoded.append(
+                (
+                    CrashPlan.of({pid: int(tick) for pid, tick in crashes}),
+                    tuple(int(i) for i in trace),
+                    bool(fixpoint),
+                    int(run_index),
+                )
+            )
+        leaves = tuple(decoded)
     return ExplorationEntry(runs, stats, leaves)
 
 

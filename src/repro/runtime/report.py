@@ -211,7 +211,7 @@ class EnsembleReport:
                 else f"    per-run wall time sum {self.run_wall_time:.3f}s"
             )
         stats = self.kernel_stats
-        if stats is not None and stats.index_builds + stats.index_derivations:
+        if stats is not None and stats.arena_builds + stats.arena_refinements:
             lines.append(f"    {stats.render()}")
         return "\n".join(lines)
 
@@ -290,6 +290,6 @@ class ExploreReport:
                     f"      ... and {len(self.violations) - 3} more"
                 )
         stats = self.kernel_stats
-        if stats is not None and stats.index_builds + stats.index_derivations:
+        if stats is not None and stats.arena_builds + stats.arena_refinements:
             lines.append(f"    {stats.render()}")
         return "\n".join(lines)

@@ -89,6 +89,13 @@ class SessionEpoch:
     __slots__ = ("system", "checker", "group", "generation")
 
     def __init__(self, system: System, generation: int) -> None:
+        # Sampled-system warnings surface structurally (the response
+        # envelope's "complete"/"missing_runs" fields), not as Python
+        # warnings inside the server process: trip the system's warn-once
+        # latch here, silenced, so no query on this epoch warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncompleteSystemWarning)
+            system.note_knowledge_query()
         self.system = system
         self.checker = ModelChecker(system)
         self.group = GroupChecker(self.checker)
@@ -223,82 +230,77 @@ class SystemSession:
         kind = query.get("kind")
         checker = epoch.checker
         group_checker = epoch.group
-        # Sampled-system warnings surface structurally (the response
-        # envelope's "complete"/"missing_runs" fields), not as Python
-        # warnings inside the server process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IncompleteSystemWarning)
-            if kind == "holds":
-                result: dict[str, Any] = {
-                    "result": checker.holds(
-                        self._formula(query), self._point(epoch, query)
-                    )
-                }
-            elif kind == "knows":
-                process = self._process(epoch, query)
-                formula = self._formula(query)
-                key = f"knows:{process}:{formula_wire_key(query['formula'])}"
-                wrapped = self._formulas.get(key)
-                if wrapped is None:
-                    wrapped = Knows(process, formula)
-                    self._formulas[key] = wrapped
-                result = {"result": checker.holds(wrapped, self._point(epoch, query))}
-            elif kind == "e":
-                group = self._group(epoch, query)
-                depth = self._depth(query, "depth", 1)
-                formula = self._formula(query)
-                point = self._point(epoch, query)
-                if depth == 0:
-                    value = checker.holds(formula, point)
-                else:
-                    value = (
-                        group_checker.max_e_depth(group, formula, point, cap=depth)
-                        == depth
-                    )
-                result = {"result": value}
-            elif kind == "max_e_depth":
-                result = {
-                    "result": group_checker.max_e_depth(
-                        self._group(epoch, query),
-                        self._formula(query),
-                        self._point(epoch, query),
-                        cap=self._depth(query, "cap", 10),
-                    )
-                }
-            elif kind == "ck":
-                result = {
-                    "result": group_checker.common_knowledge(
-                        self._group(epoch, query),
-                        self._formula(query),
-                        self._point(epoch, query),
-                    )
-                }
-            elif kind == "ck_points":
-                points = group_checker.common_knowledge_points(
-                    self._group(epoch, query), self._formula(query)
+        if kind == "holds":
+            result: dict[str, Any] = {
+                "result": checker.holds(
+                    self._formula(query), self._point(epoch, query)
                 )
-                result = {"result": [list(p) for p in sorted(points)]}
-            elif kind == "known_crashed":
-                known = epoch.system.known_crashed_set(
-                    self._process(epoch, query), self._point(epoch, query)
-                )
-                result = {"result": sorted(known)}
-            elif kind == "valid":
-                witness = checker.counterexample(self._formula(query))
-                counterexample: list[int] | None = None
-                if witness is not None:
-                    run_index = epoch.system.run_index(witness.run)
-                    assert run_index is not None  # counterexamples are in-system
-                    counterexample = [run_index, witness.time]
-                result = {
-                    "result": witness is None,
-                    "counterexample": counterexample,
-                }
+            }
+        elif kind == "knows":
+            process = self._process(epoch, query)
+            formula = self._formula(query)
+            key = f"knows:{process}:{formula_wire_key(query['formula'])}"
+            wrapped = self._formulas.get(key)
+            if wrapped is None:
+                wrapped = Knows(process, formula)
+                self._formulas[key] = wrapped
+            result = {"result": checker.holds(wrapped, self._point(epoch, query))}
+        elif kind == "e":
+            group = self._group(epoch, query)
+            depth = self._depth(query, "depth", 1)
+            formula = self._formula(query)
+            point = self._point(epoch, query)
+            if depth == 0:
+                value = checker.holds(formula, point)
             else:
-                raise WireError(
-                    "bad-request",
-                    f"unknown query kind {kind!r}; expected one of {list(QUERY_KINDS)}",
+                value = (
+                    group_checker.max_e_depth(group, formula, point, cap=depth)
+                    == depth
                 )
+            result = {"result": value}
+        elif kind == "max_e_depth":
+            result = {
+                "result": group_checker.max_e_depth(
+                    self._group(epoch, query),
+                    self._formula(query),
+                    self._point(epoch, query),
+                    cap=self._depth(query, "cap", 10),
+                )
+            }
+        elif kind == "ck":
+            result = {
+                "result": group_checker.common_knowledge(
+                    self._group(epoch, query),
+                    self._formula(query),
+                    self._point(epoch, query),
+                )
+            }
+        elif kind == "ck_points":
+            points = group_checker.common_knowledge_points(
+                self._group(epoch, query), self._formula(query)
+            )
+            result = {"result": [list(p) for p in sorted(points)]}
+        elif kind == "known_crashed":
+            known = epoch.system.known_crashed_set(
+                self._process(epoch, query), self._point(epoch, query)
+            )
+            result = {"result": sorted(known)}
+        elif kind == "valid":
+            witness = checker.counterexample(self._formula(query))
+            counterexample: list[int] | None = None
+            if witness is not None:
+                run_index = epoch.system.run_index(witness.run)
+                assert run_index is not None  # counterexamples are in-system
+                counterexample = [run_index, witness.time]
+            result = {
+                "result": witness is None,
+                "counterexample": counterexample,
+            }
+        else:
+            raise WireError(
+                "bad-request",
+                f"unknown query kind {kind!r}; expected one of {list(QUERY_KINDS)}",
+            )
         self.queries_answered += 1
         result.update({"ok": True, "kind": kind})
         return result
@@ -365,7 +367,6 @@ class SystemSession:
             "processes": list(system.processes),
             "complete": system.complete,
             "missing_runs": system.missing_runs,
-            "kernel": system.kernel,
             "generation": self.generation,
             "source": self.source,
             "queries_answered": self.queries_answered,

@@ -9,8 +9,9 @@ produces :class:`repro.model.run.Run` objects:
 * :mod:`repro.sim.process`  -- the protocol interface and environment.
 * :mod:`repro.sim.executor` -- the deterministic seeded scheduler that
   turns (protocol, context, adversary seed) into a run.
-* :mod:`repro.sim.ensembles` -- helpers that build Systems (sets of
-  runs) by sweeping seeds and crash plans.
+
+Systems (sets of runs) are built by sweeping seeds and crash plans with
+:func:`repro.runtime.run_ensemble`.
 """
 
 from repro.sim.executor import ExecutionConfig, Executor, execute

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -195,7 +194,7 @@ class Executor:
         """Build an executor from a declarative :class:`repro.runtime.RunSpec`.
 
         This is the canonical constructor; the kwargs form exists for
-        incremental construction and for the legacy call sites.
+        incremental construction.
         """
         return cls(
             spec.processes,
@@ -400,29 +399,6 @@ class Executor:
             raise AssertionError(f"unexpected event {event!r}")
 
 
-def execute(
-    spec_or_processes,
-    protocol_factory: ProtocolFactory | None = None,
-    **kwargs,
-) -> Run:
-    """One-shot execution: the canonical shape is ``execute(RunSpec(...))``.
-
-    The legacy kwargs shape ``execute(processes, protocol_factory, ...)``
-    still works but duplicates :class:`Executor`'s parameter plumbing and
-    is deprecated; build a :class:`repro.runtime.RunSpec` instead.
-    """
-    from repro.runtime.spec import RunSpec  # local: avoids an import cycle
-
-    if isinstance(spec_or_processes, RunSpec):
-        if protocol_factory is not None or kwargs:
-            raise TypeError(
-                "execute(spec) takes no further arguments; put them in the spec"
-            )
-        return Executor.from_spec(spec_or_processes).run()
-    warnings.warn(
-        "execute(processes, protocol_factory, **kwargs) is deprecated; "
-        "pass a repro.runtime.RunSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Executor(spec_or_processes, protocol_factory, **kwargs).run()
+def execute(spec: "RunSpec") -> Run:
+    """One-shot execution of a declarative :class:`repro.runtime.RunSpec`."""
+    return Executor.from_spec(spec).run()

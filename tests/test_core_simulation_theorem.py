@@ -21,7 +21,7 @@ from repro.model.context import make_process_ids
 from repro.model.events import SuspectEvent
 from repro.model.run import validate_run
 from repro.model.system import System
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, SerialBackend, run_ensemble
 from repro.sim.executor import Executor
 from repro.sim.failures import sample_crash_plan
 from repro.sim.process import uniform_protocol
@@ -33,7 +33,7 @@ PROCS = make_process_ids(3)
 
 
 def small_system(detector=None, seeds=(0,)):
-    return a5t_ensemble(
+    return run_ensemble(EnsembleSpec.a5t(
         PROCS,
         uniform_protocol(StrongFDUDCProcess),
         t=2,
@@ -42,7 +42,7 @@ def small_system(detector=None, seeds=(0,)):
         ),
         detector=detector or PerfectOracle(),
         seeds=seeds,
-    )
+    ), backend=SerialBackend(), cache=None).system()
 
 
 class TestSubsetOrder:

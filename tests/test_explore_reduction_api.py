@@ -8,8 +8,6 @@ answers as the unreduced ``reduction="none"`` baseline — for any worker
 count.  That is what licenses running the reductions by default.
 """
 
-import warnings
-
 import pytest
 
 from repro import (
@@ -322,7 +320,7 @@ class TestIncremental:
         spec = spec_of(reduction="dpor")
         cache = RunCache(tmp_path)
         first = explore(spec, cache=cache)
-        # a *fresh* cache object re-reads the v3 entry from disk
+        # a *fresh* cache object re-reads the v4 entry from disk
         reloaded = RunCache(tmp_path)
         entry = reloaded.get_exploration_entry(spec.digest())
         assert entry is not None and entry.leaves
@@ -355,34 +353,15 @@ class TestExplorerFacade:
 
 
 class TestDeprecations:
-    def test_runtime_import_warns_exactly_once(self):
+    """The one-release deprecation window is over: the shims are gone."""
+
+    def test_explore_spec_not_reexported_from_runtime(self):
         import repro.runtime as runtime
-
-        runtime._reset_explore_spec_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = runtime.ExploreSpec
-            second = runtime.ExploreSpec
-        assert first is ExploreSpec and second is ExploreSpec
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.explore" in str(deprecations[0].message)
-
-    def test_runtime_spec_import_warns_exactly_once(self):
         import repro.runtime.spec as runtime_spec
 
-        runtime_spec._reset_explore_spec_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = runtime_spec.ExploreSpec
-            second = runtime_spec.ExploreSpec
-        assert first is ExploreSpec and second is ExploreSpec
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
+        for module in (runtime, runtime_spec):
+            with pytest.raises(AttributeError):
+                module.ExploreSpec
 
     def test_unknown_runtime_attribute_still_raises(self):
         import repro.runtime as runtime
@@ -390,22 +369,13 @@ class TestDeprecations:
         with pytest.raises(AttributeError):
             runtime.NoSuchThing
 
-    def test_legacy_por_kwarg_maps_and_warns(self):
-        with pytest.warns(DeprecationWarning, match="por"):
-            legacy = spec_of(por=False)
-        assert legacy.reduction == "none"
-        with pytest.warns(DeprecationWarning, match="por"):
-            assert spec_of(por=True).reduction == "dpor"
-
-    def test_legacy_fingerprints_kwarg_ignored_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="fingerprint"):
-            legacy = spec_of(fingerprints=True)
-        assert legacy.reduction == "dpor"
-
-    def test_with_accepts_legacy_kwargs(self):
-        spec = spec_of()
-        with pytest.warns(DeprecationWarning):
-            assert spec.with_(por=False).reduction == "none"
+    def test_retired_boolean_toggles_rejected(self):
+        with pytest.raises(TypeError):
+            spec_of(por=False)
+        with pytest.raises(TypeError):
+            spec_of(fingerprints=True)
+        with pytest.raises(TypeError):
+            spec_of().with_(por=False)
 
 
 class TestSerialization:

@@ -337,3 +337,10 @@ class TestReportSurface:
         assert "[complete]" in text
         assert "violations" in text
         assert "[reduction: dpor]" in text
+
+    def test_summary_prints_kernel_line_after_queries(self):
+        report = explore(nudc_spec(), cache=None)
+        assert "kernel:" not in report.summary()  # no kernel work yet
+        system = report.system()
+        system.known_crashed_set("p1", Point(system.runs[0], 0))
+        assert "kernel: columnar 1 arenas" in report.summary()

@@ -1,6 +1,7 @@
-"""Unit tests for the class-based epistemic kernel: history interning,
-equivalence classes, crash bitmasks, KernelStats, cache inheritance on
-restrict/union, and the foreign-run cache fix in the model checker."""
+"""Unit tests for the epistemic kernel's building blocks: history
+interning, the ~_p equivalence classes of the columnar kernel, crash
+bitmasks, point ids, KernelStats, restrict/union answers, and the
+foreign-run cache fix in the model checker."""
 
 import gc
 
@@ -14,6 +15,17 @@ from repro.model.synthetic import synthetic_system
 from repro.model.system import System
 
 PROCS = ("p1", "p2", "p3")
+
+
+def classes(system, process):
+    """Process ``process``'s ~_p classes as (class id, member points)."""
+    kernel = system.columnar_kernel()
+    bounds = kernel.class_base + [kernel.total_classes]
+    j = system.process_bit(process)
+    return [
+        (cid, kernel.points_of_class(cid))
+        for cid in range(bounds[j], bounds[j + 1])
+    ]
 
 
 def run_with(timelines, duration=6):
@@ -97,36 +109,39 @@ class TestEquivClasses:
     def test_classes_partition_points(self):
         s = System([crash_run(), no_crash_run()])
         for p in PROCS:
-            classes = s.classes(p)
-            total = sum(c.size for c in classes)
-            assert total == s.point_count
-            ids = [s.point_id(pt) for c in classes for pt in c.points]
+            ids = [s.point_id(pt) for _, points in classes(s, p) for pt in points]
             assert sorted(ids) == list(range(s.point_count))
 
     def test_class_of_consistency(self):
         s = System([crash_run(), no_crash_run()])
+        kernel = s.columnar_kernel()
         for p in PROCS:
             for run in s.runs:
                 for m in range(run.duration + 1):
                     pt = Point(run, m)
-                    cls = s.class_of(p, pt)
-                    assert pt in cls.points
-                    assert cls.history == pt.history(p)
+                    members = kernel.points_of_class(kernel.class_id_at(p, pt))
+                    assert pt in members
+                    assert all(q.history(p) == pt.history(p) for q in members)
 
     def test_known_crashed_mask_is_and_of_point_masks(self):
         s = System([crash_run(), no_crash_run()])
+        kernel = s.columnar_kernel()
         for p in PROCS:
-            for cls in s.classes(p):
+            for cid, points in classes(s, p):
                 acc = -1
-                for mask in cls.point_masks:
-                    acc &= mask
-                assert cls.known_crashed_mask == acc
+                for pt in points:
+                    acc &= pt.run.crash_masks()[pt.time]
+                assert kernel.known_mask(cid) == acc
 
     def test_class_histories_are_canonical(self):
+        # One history per class, and one class per history.
         s = System([crash_run(), no_crash_run()])
         for p in PROCS:
-            for cls in s.classes(p):
-                assert s.interner.intern(cls.history) is cls.history
+            histories = []
+            for _, points in classes(s, p):
+                assert len({pt.history(p) for pt in points}) == 1
+                histories.append(points[0].history(p))
+            assert len(set(histories)) == len(histories)
 
     def test_point_id_roundtrip(self):
         s = System([crash_run(), no_crash_run()])
@@ -164,17 +179,6 @@ class TestVacuity:
 
 
 class TestKernelStats:
-    def test_index_builds_count_processes(self):
-        s = System([crash_run(), no_crash_run()])
-        assert s.stats.index_builds == 0
-        s.classes("p1")
-        s.classes("p1")
-        assert s.stats.index_builds == 1
-        s.classes("p2")
-        assert s.stats.index_builds == 2
-        assert s.stats.points_indexed == 2 * s.point_count
-        assert s.stats.classes_built >= 2
-
     def test_checker_shares_system_stats(self):
         s = System([crash_run(), no_crash_run()])
         mc = ModelChecker(s)
@@ -188,55 +192,40 @@ class TestKernelStats:
 
     def test_intern_counters_surface(self):
         s = System([crash_run(), no_crash_run()])
-        s.classes("p1")
+        s.build_index()
         st = s.stats
-        assert st.intern_hits + st.intern_misses >= s.point_count
+        assert st.intern_misses > 0
+        assert (st.intern_hits, st.intern_misses) == (
+            s.interner.hits,
+            s.interner.misses,
+        )
 
     def test_as_dict_and_merge(self):
         s = System([crash_run()])
-        s.classes("p1")
+        s.build_index()
         d = s.stats.as_dict()
-        assert d["index_builds"] == 1
+        assert d["arena_builds"] == 1
         other = System([no_crash_run()])
-        other.classes("p1")
+        other.build_index()
         merged = s.stats.merge(other.stats)
-        assert merged.index_builds == 2
+        assert merged.arena_builds == 2
 
     def test_render_mentions_classes(self):
         s = System([crash_run()])
-        s.classes("p1")
-        assert "classes" in s.stats.render()
+        s.build_index()
+        line = s.stats.render()
+        assert "classes" in line and "1 arenas" in line
 
 
 class TestRestrictInheritance:
-    def test_no_reindex_on_restrict(self):
-        parent = System([crash_run(), no_crash_run()])
-        for p in PROCS:
-            parent.classes(p)
-        child = parent.restrict(lambda r: not r.faulty())
-        assert len(child) == 1
-        for p in PROCS:
-            child.classes(p)  # must be served from the derived tables
-        assert child.stats.index_builds == 0
-        assert child.stats.index_derivations == len(PROCS)
-
     def test_restrict_shares_interner(self):
         parent = System([crash_run(), no_crash_run()])
         child = parent.restrict(lambda r: True)
         assert child.interner is parent.interner
 
-    def test_unfiltered_classes_are_shared_objects(self):
-        parent = System([crash_run(), no_crash_run()])
-        parent.classes("p1")
-        child = parent.restrict(lambda r: True)  # keeps everything
-        parent_classes = {c.history: c for c in parent.classes("p1")}
-        for cls in child.classes("p1"):
-            assert parent_classes[cls.history] is cls
-
     def test_restricted_knowledge_matches_fresh_system(self):
         parent = System([crash_run(), no_crash_run()])
-        for p in PROCS:
-            parent.classes(p)
+        parent.build_index()
         kept = [r for r in parent.runs if r.faulty()]
         child = parent.restrict(lambda r: r.faulty())
         fresh = System(kept)
@@ -252,28 +241,17 @@ class TestRestrictInheritance:
     def test_restrict_before_any_index_stays_lazy(self):
         parent = System([crash_run(), no_crash_run()])
         child = parent.restrict(lambda r: r.faulty())
-        # Nothing was built in the parent, so the child builds its own.
-        child.classes("p1")
-        assert child.stats.index_builds == 1
+        assert child.stats.arena_builds == 0
+        child.known_crashed_set("p1", Point(child.runs[0], 0))
+        assert child.stats.arena_builds == 1
+        assert parent.stats.arena_builds == 0
 
 
 class TestUnionInheritance:
-    def test_union_derives_built_tables(self):
-        a = System([crash_run()])
-        b = System([no_crash_run()])
-        for p in PROCS:
-            a.classes(p)
-        u = a.union(b)
-        for p in PROCS:
-            u.classes(p)
-        assert u.stats.index_builds == 0
-        assert u.stats.index_derivations == len(PROCS)
-
     def test_union_knowledge_matches_fresh_system(self):
         a = System([crash_run()])
         b = System([no_crash_run()])
-        for p in PROCS:
-            a.classes(p)
+        a.build_index()
         u = a.union(b)
         fresh = System([crash_run(), no_crash_run()])
         for p in PROCS:
@@ -290,13 +268,13 @@ class TestUnionInheritance:
     def test_union_point_order_matches_fresh_build(self):
         a = System([crash_run()])
         b = System([no_crash_run()])
-        a.classes("p1")
+        a.build_index()
         u = a.union(b)
         fresh = System([crash_run(), no_crash_run()])
-        for cu, cf in zip(u.classes("p1"), fresh.classes("p1")):
-            assert cu.history == cf.history
-            assert cu.points == cf.points
-            assert cu.point_masks == cf.point_masks
+        for p in PROCS:
+            assert classes(u, p) == classes(fresh, p)
+        uk, fk = u.columnar_kernel(), fresh.columnar_kernel()
+        assert uk.known_masks == fk.known_masks
 
 
 class TestForeignRunCacheFix:
@@ -354,7 +332,9 @@ class TestSyntheticGenerator:
     def test_histories_overlap_across_runs(self):
         s = synthetic_system(4, 12, seed=1)
         # The small alphabet must actually produce shared classes.
-        assert any(cls.size > 1 for p in s.processes for cls in s.classes(p))
+        assert any(
+            len(points) > 1 for p in s.processes for _, points in classes(s, p)
+        )
 
     def test_crash_is_terminal(self):
         s = synthetic_system(5, 10, seed=3, crash_prob=0.8)

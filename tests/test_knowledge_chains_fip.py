@@ -21,7 +21,7 @@ from repro.knowledge.formulas import Inited, Knows
 from repro.model.context import make_process_ids
 from repro.model.events import InitEvent, Message, ReceiveEvent, SendEvent
 from repro.model.run import Point, Run
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, SerialBackend, run_ensemble
 from repro.sim.fip import (
     FIP,
     init_fact,
@@ -132,20 +132,20 @@ class TestKnowledgeGain:
         to the ensemble, with no transmission at all.  Mixing in
         initiation-free runs restores the intended semantics.
         """
-        with_action = a5t_ensemble(
+        with_action = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             uniform_protocol(NUDCProcess),
             t=2,
             workload=single_action("p1", tick=1),
             seeds=(0, 1),
-        )
-        without_action = a5t_ensemble(
+        ), backend=SerialBackend(), cache=None).system()
+        without_action = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             uniform_protocol(NUDCProcess),
             t=2,
             workload=[],
             seeds=(0, 1),
-        )
+        ), backend=SerialBackend(), cache=None).system()
         system = with_action.union(without_action)
         checker = ModelChecker(system)
         action = ("p1", "a0")
@@ -163,13 +163,13 @@ class TestKnowledgeGain:
 
     def test_knowledge_does_spread_along_chains(self):
         """Sanity for the previous test: somebody does come to know."""
-        system = a5t_ensemble(
+        system = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             uniform_protocol(NUDCProcess),
             t=0,
             workload=single_action("p1", tick=1),
             seeds=(0,),
-        )
+        ), backend=SerialBackend(), cache=None).system()
         checker = ModelChecker(system)
         run = system.runs[0]
         action = ("p1", "a0")
@@ -184,22 +184,22 @@ class TestKnowledgeGain:
 
 class TestFullInformation:
     def fip_system(self, seeds=(0, 1)):
-        with_action = a5t_ensemble(
+        with_action = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             with_full_information(uniform_protocol(NUDCProcess)),
             t=1,
             workload=single_action("p1", tick=1),
             seeds=seeds,
-        )
+        ), backend=SerialBackend(), cache=None).system()
         # Initiation-free twin runs keep ensemble knowledge honest (see
         # TestKnowledgeGain).
-        without_action = a5t_ensemble(
+        without_action = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             with_full_information(uniform_protocol(NUDCProcess)),
             t=1,
             workload=[],
             seeds=seeds,
-        )
+        ), backend=SerialBackend(), cache=None).system()
         return with_action.union(without_action)
 
     def test_fip_messages_carry_facts(self):

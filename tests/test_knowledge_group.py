@@ -15,7 +15,7 @@ from repro.model.context import make_process_ids
 from repro.model.events import CrashEvent, InitEvent, Message, ReceiveEvent, SendEvent
 from repro.model.run import Point, Run
 from repro.model.system import System
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, SerialBackend, run_ensemble
 from repro.sim.fip import with_full_information
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import single_action
@@ -145,20 +145,20 @@ class TestCommonKnowledge:
             assert not gc.common_knowledge(SMALL, phi, Point(a, m))
 
     def test_e_levels_climb_in_protocol_ensembles(self):
-        with_action = a5t_ensemble(
+        with_action = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             with_full_information(uniform_protocol(NUDCProcess)),
             t=1,
             workload=single_action("p1", tick=1),
             seeds=(0,),
-        )
-        without = a5t_ensemble(
+        ), backend=SerialBackend(), cache=None).system()
+        without = run_ensemble(EnsembleSpec.a5t(
             PROCS,
             with_full_information(uniform_protocol(NUDCProcess)),
             t=1,
             workload=[],
             seeds=(0,),
-        )
+        ), backend=SerialBackend(), cache=None).system()
         system = with_action.union(without)
         mc = ModelChecker(system)
         gc = GroupChecker(mc)

@@ -76,11 +76,6 @@ def test_select_empty_spec_is_usage_error(capsys) -> None:
     assert "no rule ids" in err and "DET001" in err
 
 
-def test_bad_jobs_is_usage_error(capsys) -> None:
-    assert main([str(FIXTURES), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
 def test_update_baseline_without_baseline_is_usage_error(capsys) -> None:
     assert main([str(FIXTURES), "--update-baseline"]) == 2
     assert "--baseline" in capsys.readouterr().err

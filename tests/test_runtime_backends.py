@@ -11,6 +11,8 @@ import pytest
 from repro.core.protocols import GeneralizedFDUDCProcess
 from repro.detectors.generalized import GeneralizedOracle
 from repro.model.context import make_process_ids
+from repro.model.run import Point
+from repro.model.system import IncompleteSystemWarning
 from repro.runtime import (
     EnsembleSpec,
     ProcessPoolBackend,
@@ -123,22 +125,6 @@ class TestEnsembleReport:
         assert all(m.events > 0 for m in report.metrics)
         assert report.run_wall_time > 0
 
-    def test_system_matches_legacy_builder(self):
-        from repro.sim.ensembles import a5t_ensemble
-
-        spec = e07_style_spec(seeds=(0, 1))
-        report = run_ensemble(spec, backend=SerialBackend(), cache=None)
-        legacy = a5t_ensemble(
-            PROCS,
-            uniform_protocol(GeneralizedFDUDCProcess, t=2),
-            t=2,
-            workload=single_action("p1", tick=1)
-            + single_action("p3", tick=10, name="c0"),
-            detector=GeneralizedOracle(2, padding=1),
-            seeds=(0, 1),
-        )
-        assert list(report.system().runs) == list(legacy.runs)
-
     def test_summary_renders(self):
         report = run_ensemble(
             e07_style_spec(seeds=(0,)), backend=SerialBackend(), cache=None
@@ -146,3 +132,14 @@ class TestEnsembleReport:
         text = report.summary()
         assert "serial" in text
         assert f"{len(report)} runs" in text
+
+    def test_summary_prints_kernel_line_after_queries(self):
+        report = run_ensemble(
+            e07_style_spec(seeds=(0,)), backend=SerialBackend(), cache=None
+        )
+        assert "kernel:" not in report.summary()  # no kernel work yet
+        system = report.system()
+        with pytest.warns(IncompleteSystemWarning):
+            system.known_crashed_set("p1", Point(system.runs[0], 0))
+        assert report.kernel_stats.arena_builds == 1
+        assert "kernel: columnar 1 arenas" in report.summary()

@@ -1,8 +1,11 @@
 """Tests for RunCache disk integrity: atomic writes, checksummed
-entries, quarantine of corrupt files, and regeneration."""
+entries, quarantine of corrupt or retired-format files, and
+regeneration."""
 
+import hashlib
 import json
 
+import pytest
 
 from repro.core.protocols import NUDCProcess
 from repro.faults import corrupt_cache_entry
@@ -79,17 +82,6 @@ class TestQuarantine:
         (entry,) = fresh.quarantined
         assert "digest mismatch" in entry[1]
 
-    def test_legacy_unchecksummed_entry_still_readable(self, tmp_path):
-        from repro.model.serialize import run_to_dict
-
-        spec = make_spec()
-        run = make_run(spec)
-        path = tmp_path / f"{spec.digest()}.json"
-        path.write_text(json.dumps(run_to_dict(run)), encoding="utf-8")
-        fresh = RunCache(tmp_path)
-        assert fresh.get(spec) == run
-        assert fresh.quarantined == []
-
     def test_run_ensemble_surfaces_cache_corruption_as_recovery(self, tmp_path):
         spec = make_spec()
         run_ensemble([spec], backend="serial", cache=RunCache(tmp_path))
@@ -138,6 +130,70 @@ class TestExplorationIntegrity:
         runs, stats = hit
         assert runs == (run,)
         assert stats.runs_unique == 1
+
+
+def _sealed(fmt, body):
+    """An entry in ``fmt`` with a *valid* checksum over ``body``."""
+    serial = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return {
+        "format": fmt,
+        "sha256": hashlib.sha256(serial.encode("utf-8")).hexdigest(),
+        "body": body,
+    }
+
+
+class TestRetiredFormats:
+    """Only run-entry v2 and exploration v4 are read.  Entries in the
+    formats older writers produced quarantine with a recorded reason and
+    read as a miss, so the caller regenerates them."""
+
+    def test_raw_run_dict_entry_quarantines_as_a_miss(self, tmp_path):
+        from repro.model.serialize import run_to_dict
+
+        spec = make_spec()
+        run = make_run(spec)
+        path = tmp_path / f"{spec.digest()}.json"
+        path.write_text(json.dumps(run_to_dict(run)), encoding="utf-8")
+
+        fresh = RunCache(tmp_path)
+        assert fresh.get(spec) is None
+        assert fresh.misses == 1
+        assert "unrecognized cache entry format" in fresh.quarantine_reason(
+            spec.digest()
+        )
+        assert (tmp_path / f"{spec.digest()}.corrupt").exists()
+        fresh.put(spec, run)
+        assert RunCache(tmp_path).get(spec) == run
+
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_old_exploration_entry_quarantines_as_a_miss(self, tmp_path, version):
+        from repro.explore.reduction import ExploreStats
+        from repro.model.serialize import run_to_dict
+
+        run = make_run(make_spec())
+        body = {
+            "stats": ExploreStats(runs_unique=1).as_dict(),
+            "runs": [run_to_dict(run)],
+        }
+        fmt = f"repro-exploration-{version}"
+        if version == "v1":  # body at top level, no checksum
+            payload = dict(body, format=fmt)
+        else:
+            if version == "v3":
+                body["leaves"] = [[[], [], True, 0]]
+            payload = _sealed(fmt, body)
+        path = tmp_path / "explore-cafe.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+        fresh = RunCache(tmp_path)
+        assert fresh.get_exploration("cafe") is None
+        assert fresh.misses == 1
+        reason = fresh.quarantine_reason("cafe")
+        assert "unrecognized exploration format" in reason and fmt in reason
+        assert path.with_name("explore-cafe.corrupt").exists()
+        fresh.put_exploration("cafe", (run,), ExploreStats(runs_unique=1))
+        hit = RunCache(tmp_path).get_exploration("cafe")
+        assert hit is not None and hit[0] == (run,)
 
 
 class TestClear:

@@ -21,7 +21,7 @@ import pytest
 from repro.knowledge import Crashed, GroupChecker, Knows, ModelChecker, Not
 from repro.model.run import Point
 from repro.model.synthetic import synthetic_run, synthetic_system
-from repro.model.system import System
+from repro.model.system import IncompleteSystemWarning, System
 from repro.runtime.cache import RunCache
 from repro.serve.client import (
     ServeClient,
@@ -306,6 +306,42 @@ def test_session_formula_interning_keeps_caches_hot() -> None:
     session.run_query(dict(wire))  # identical content, fresh dict
     assert session.system.stats.local_cache_misses == misses
     assert session.system.stats.local_cache_hits > 0
+
+
+def test_sampled_session_queries_leave_warning_filters_alone(monkeypatch) -> None:
+    runs = _sampled_runs().runs
+    session = SystemSession("s", System(runs[:4]))
+    assert not session.system.complete
+    point = {"run": 0, "time": 2}
+    crashed = {"op": "crashed", "process": "p2"}
+    queries = [
+        {"kind": "holds", "formula": crashed, **point},
+        {"kind": "knows", "process": "p1", "formula": crashed, **point},
+        {"kind": "e", "group": ["p1", "p2"], "depth": 2, "formula": crashed, **point},
+        {"kind": "ck", "group": ["p1", "p2"], "formula": crashed, **point},
+        {"kind": "known_crashed", "process": "p1", **point},
+    ]
+    entered = []
+    original = warnings.catch_warnings
+
+    def spy(*args, **kwargs):
+        entered.append(args)
+        return original(*args, **kwargs)
+
+    with original(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = warnings.filters
+        snapshot = list(filters)
+        monkeypatch.setattr(warnings, "catch_warnings", spy)
+        for query in queries:
+            assert session.run_query(query)["ok"], query
+        session.apply_ingest(runs[4:])  # a new epoch, same contract
+        for query in queries:
+            assert session.run_query(query)["ok"], query
+        monkeypatch.setattr(warnings, "catch_warnings", original)
+        assert warnings.filters is filters and warnings.filters == snapshot
+    assert entered == [()]  # once, for the ingest's new epoch; never per query
+    assert not [w for w in caught if issubclass(w.category, IncompleteSystemWarning)]
 
 
 def test_state_claim_release_cycle() -> None:

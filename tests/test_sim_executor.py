@@ -35,7 +35,7 @@ class EchoProcess(ProtocolProcess):
 
 def run_echo(**kwargs):
     kwargs.setdefault("workload", single_action("p1", tick=1))
-    return execute(PROCS, uniform_protocol(EchoProcess), **kwargs)
+    return Executor(PROCS, uniform_protocol(EchoProcess), **kwargs).run()
 
 
 class TestBasicExecution:
@@ -95,8 +95,8 @@ class TestDeterminism:
             detector=PerfectOracle(),
             seed=5,
         )
-        a = execute(PROCS, uniform_protocol(StrongFDUDCProcess), **kwargs)
-        b = execute(PROCS, uniform_protocol(StrongFDUDCProcess), **kwargs)
+        a = Executor(PROCS, uniform_protocol(StrongFDUDCProcess), **kwargs).run()
+        b = Executor(PROCS, uniform_protocol(StrongFDUDCProcess), **kwargs).run()
         assert a == b
 
 
@@ -244,10 +244,6 @@ class TestSpecExecution:
     def test_execute_spec_rejects_extra_arguments(self):
         with pytest.raises(TypeError):
             execute(self.spec(), uniform_protocol(EchoProcess))
-
-    def test_legacy_execute_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            execute(PROCS, uniform_protocol(EchoProcess), seed=1)
 
     def test_crash_index_covers_multi_crash_ticks(self):
         # Two processes crashing at the same tick both land there.

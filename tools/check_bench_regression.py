@@ -21,13 +21,14 @@ The gate dispatches on the ``benchmark`` field of the committed file
     gate, but a reduction regression does.
 
 ``epistemic-kernel`` (BENCH_kernel.json)
-    Compares the columnar kernel's speedups over the class kernel at
-    n=20 plus the pool-transfer byte ratio.  Speedup ratios are
-    machine-normalized by construction (class and columnar rounds are
-    interleaved on the same machine), so the 15% rule applies to the
-    ratios directly, on top of the absolute acceptance floors:
-    index build >= 5x, C_G fixpoint >= 3x, transfer header <= 10% of
-    the pickled run batch.
+    Compares the columnar kernel's speedups over the naive reference
+    kernel (:mod:`repro.knowledge.reference`) at n=10 plus the
+    pool-transfer byte ratio.  Speedup ratios are machine-normalized by
+    construction (both sides are timed in one process on the same
+    machine), so the 15% rule applies to the ratios directly, on top of
+    the absolute acceptance floors: index build >= 320x (naive
+    known-set sweep / columnar index build), known-set sweep >= 5x, C_G
+    fixpoint >= 45x, transfer header <= 10% of the pickled run batch.
 
 ``serve-latency`` (BENCH_serve.json)
     Compares the query service's throughput (qps floor) and p95 latency
@@ -62,12 +63,16 @@ import sys
 from pathlib import Path
 
 EXPLORE_KEY = "n=4"
-KERNEL_KEY = "n=20"
+KERNEL_KEY = "n=10"
 
-#: Absolute acceptance floors for the kernel baseline (issue criteria).
+#: Absolute floors for the kernel baseline, as speedups over the naive
+#: reference.  index/ck restate the former class-kernel floors (index
+#: >= 5x, C_G >= 3x the class kernel, which ran at ~64x / ~14.5x naive);
+#: knows keeps the benchmark's own naive floor.
 KERNEL_FLOORS = {
-    "index_speedup_vs_class": 5.0,
-    "ck_speedup_vs_class": 3.0,
+    "index_speedup": 320.0,
+    "knows_speedup": 5.0,
+    "ck_speedup": 45.0,
 }
 TRANSFER_RATIO_CEILING = 0.10
 
