@@ -9,10 +9,12 @@ whole-program rules) from the summaries — which is how an edit to one
 helper correctly updates transitive findings in *unchanged* files.
 
 Invalidation is wholesale and conservative: the cache carries the
-:data:`~repro.lint.project.ANALYSIS_VERSION` and a signature of the
-selected ruleset (ids and severities); any mismatch discards every
-entry.  Corrupt or unreadable cache files degrade to a cold run, never
-to an error — the cache is an accelerator, not a dependency.
+:func:`analyzer_digest` (a hash of this package's own sources, so any
+edit to a rule or to the summary extraction counts as a new analyzer)
+and a signature of the selected ruleset (ids and severities); any
+mismatch discards every entry.  Corrupt or unreadable cache files
+degrade to a cold run, never to an error — the cache is an
+accelerator, not a dependency.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .findings import LintFinding
 from .project import (
-    ANALYSIS_VERSION,
     CallSite,
     ClassDecl,
     FileSummary,
@@ -42,20 +44,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: cache file name inside the cache directory
 CACHE_FILE = "analysis.json"
 
+#: the analyzer whose sources key the cache: this package
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+@cache
+def analyzer_digest() -> str:
+    """sha256 over the analyzer's ``.py`` sources, sorted by path.
+
+    Cached findings and summaries are only as good as the code that
+    produced them, so the digest — not a hand-bumped version number —
+    is what a cache must match to be reused.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE_DIR.rglob("*.py")):
+        digest.update(path.relative_to(_PACKAGE_DIR).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
 
 def ruleset_signature(rules: Sequence["Rule"]) -> str:
-    """A short stable signature of the selected ruleset.
+    """A short stable signature of the analyzer and selected ruleset.
 
     Selecting different rules (or changing a rule's severity) must
     invalidate cached findings, since they were computed under the old
-    set; the analysis version folds in so summary-layout changes do too.
+    set; the analyzer digest folds in so code changes do too.
     """
     text = ",".join(
         f"{rule.id}={rule.severity.value}"
         for rule in sorted(rules, key=lambda r: r.id)
     )
     digest = hashlib.sha256(
-        f"v{ANALYSIS_VERSION}|{text}".encode("utf-8")
+        f"{analyzer_digest()}|{text}".encode("utf-8")
     ).hexdigest()
     return digest[:16]
 
@@ -248,7 +270,7 @@ class AnalysisCache:
             return
         if not isinstance(raw, dict):
             return
-        if raw.get("version") != ANALYSIS_VERSION:
+        if raw.get("version") != analyzer_digest():
             return
         if raw.get("ruleset") != self.signature:
             return
@@ -280,7 +302,7 @@ class AnalysisCache:
         """Persist touched entries atomically; untouched ones are pruned
         (they belong to files outside the current lint set)."""
         payload = {
-            "version": ANALYSIS_VERSION,
+            "version": analyzer_digest(),
             "ruleset": self.signature,
             "entries": {
                 display: {

@@ -27,14 +27,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .context import ModuleUnderLint
+from .context import ModuleUnderLint, resolve
 from .findings import LintFinding
-
-#: Bump when summary layout or extraction logic changes: stale cache
-#: entries from an older analyzer must never feed the fixpoint.
-ANALYSIS_VERSION = 1
 
 #: Reference kinds a call site may carry (see :class:`Ref`).
 REF_KINDS = ("name", "self", "attr", "typed")
@@ -44,7 +40,7 @@ REF_KINDS = ("name", "self", "attr", "typed")
 EXECUTOR_METHODS = frozenset({"run_in_executor", "to_thread"})
 
 #: spec/protocol-factory constructors whose arguments travel to pool
-#: workers (mirrors ``rules.poolsafety.SPEC_FACTORY_NAMES``)
+#: workers (POOL001 and POOL004 both key on these)
 SPEC_FACTORY_NAMES = frozenset(
     {
         "RunSpec",
@@ -206,11 +202,11 @@ _BLOCKING_ORIGINS = frozenset(
 
 #: method names that do synchronous file I/O (the pathlib idiom); only
 #: counted when the receiver does not resolve to a tracked module
-_BLOCKING_METHODS = frozenset(
+BLOCKING_METHODS = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
 
-_WALL_CLOCK_ORIGINS = frozenset(
+WALL_CLOCK_ORIGINS = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -221,7 +217,7 @@ _WALL_CLOCK_ORIGINS = frozenset(
     }
 )
 
-_ENTROPY_ORIGINS = frozenset(
+ENTROPY_ORIGINS = frozenset(
     {
         "os.urandom",
         "uuid.uuid1",
@@ -240,42 +236,6 @@ _UNPICKLABLE_ORIGINS = frozenset(
         "socket.socket",
     }
 )
-
-
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Local name → dotted origin for the tracked stdlib modules."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _TRACKED_ROOTS:
-                    aliases[alias.asname or root] = (
-                        alias.name if alias.asname else root
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
-def _resolve_origin(aliases: Mapping[str, str], node: ast.expr) -> str | None:
-    """Dotted origin of an attribute chain via the import alias map."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 def _dotted_text(node: ast.expr) -> str | None:
@@ -328,8 +288,8 @@ class _SummaryBuilder(ast.NodeVisitor):
         self.calls: list[CallSite] = []
         self.intrinsics: list[IntrinsicEffect] = []
         self.placements: list[SpecPlacement] = []
-        self.aliases = _import_aliases(mod.tree)
-        self.imports = self._all_imports(mod.tree, mod.module)
+        self.aliases = mod.import_aliases(_TRACKED_ROOTS)
+        self.imports = self._all_imports(mod)
         # scope state
         self._scope: list[str] = []  # qualname parts
         self._kinds: list[str] = []  # "class" | "func", parallel to _scope
@@ -342,11 +302,11 @@ class _SummaryBuilder(ast.NodeVisitor):
     # -- imports -------------------------------------------------------------
 
     @staticmethod
-    def _all_imports(tree: ast.Module, module: str | None) -> dict[str, str]:
+    def _all_imports(mod: ModuleUnderLint) -> dict[str, str]:
         """Every import binding, with relative imports resolved."""
         out: dict[str, str] = {}
-        package_parts = module.split(".")[:-1] if module else []
-        for node in ast.walk(tree):
+        package_parts = mod.module.split(".")[:-1] if mod.module else []
+        for node in mod.nodes(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -357,7 +317,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                         # path is reachable via attr chains from it.
                         if "." in alias.name:
                             out.setdefault(alias.name, alias.name)
-            elif isinstance(node, ast.ImportFrom):
+            else:
                 base: str | None
                 if node.level:
                     anchor = package_parts[: len(package_parts) - (node.level - 1)]
@@ -590,7 +550,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                         )
                     )
                     continue
-                origin = _resolve_origin(self.aliases, sub.func)
+                origin = resolve(self.aliases, sub.func)
                 if origin in _UNPICKLABLE_ORIGINS:
                     self.intrinsics.append(
                         IntrinsicEffect(
@@ -642,11 +602,11 @@ class _SummaryBuilder(ast.NodeVisitor):
                 )
             )
             return
-        origin = _resolve_origin(self.aliases, func)
+        origin = resolve(self.aliases, func)
         if origin is None:
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in _BLOCKING_METHODS
+                and func.attr in BLOCKING_METHODS
             ):
                 self.intrinsics.append(
                     IntrinsicEffect(
@@ -660,9 +620,9 @@ class _SummaryBuilder(ast.NodeVisitor):
             return
         if origin in _BLOCKING_ORIGINS:
             effect, detail = "blocking", origin
-        elif origin in _WALL_CLOCK_ORIGINS:
+        elif origin in WALL_CLOCK_ORIGINS:
             effect, detail = "wall-clock", origin
-        elif origin in _ENTROPY_ORIGINS or origin.startswith("secrets."):
+        elif origin in ENTROPY_ORIGINS or origin.startswith("secrets."):
             effect, detail = "entropy", origin
         elif origin.startswith("random."):
             leaf = origin.split(".", 1)[1]

@@ -29,8 +29,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import ModuleUnderLint
+from ..context import ModuleUnderLint, own_scope, resolve
 from ..findings import LintFinding, Severity
+from ..project import BLOCKING_METHODS
 from ..registry import Rule, register
 
 #: packages whose coroutines must never block the event loop
@@ -52,64 +53,6 @@ _BLOCKING_CALLS = frozenset(
     }
 )
 
-#: method names that do synchronous file I/O (the pathlib idiom)
-_BLOCKING_METHODS = frozenset(
-    {"read_text", "write_text", "read_bytes", "write_bytes"}
-)
-
-
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Local-name -> dotted-origin map for the tracked modules."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _TRACKED_ROOTS:
-                    aliases[alias.asname or root] = (
-                        alias.name if alias.asname else root
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
-def _resolve(aliases: dict[str, str], node: ast.expr) -> str | None:
-    """Dotted origin of an attribute chain, via the import alias map."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
-
-
-def _coroutine_calls(fn: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
-    """Calls lexically on this coroutine's own stack.
-
-    Nested ``def``/``async def``/``lambda`` bodies are separate scopes
-    -- a sync thunk handed to ``run_in_executor`` *should* block, and a
-    nested coroutine gets its own sweep from the outer walk.
-    """
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
 
 @register
 class BlockingCallInCoroutineRule(Rule):
@@ -128,12 +71,16 @@ class BlockingCallInCoroutineRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(ASYNC_PACKAGES):
             return
-        aliases = _import_aliases(mod.tree)
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            for call in _coroutine_calls(node):
+        aliases = mod.import_aliases(_TRACKED_ROOTS)
+        for node in mod.nodes(ast.AsyncFunctionDef):
+            # Only calls on the coroutine's own stack: a sync thunk
+            # handed to run_in_executor *should* block, and a nested
+            # coroutine gets its own sweep.
+            for call in own_scope(*node.body):
+                if not isinstance(call, ast.Call):
+                    continue
                 func = call.func
+                origin = resolve(aliases, func)
                 if isinstance(func, ast.Name) and func.id == "open":
                     yield self.finding(
                         mod,
@@ -145,8 +92,8 @@ class BlockingCallInCoroutineRule(Rule):
                     continue
                 if (
                     isinstance(func, ast.Attribute)
-                    and func.attr in _BLOCKING_METHODS
-                    and _resolve(aliases, func) is None
+                    and func.attr in BLOCKING_METHODS
+                    and origin is None
                 ):
                     yield self.finding(
                         mod,
@@ -156,7 +103,6 @@ class BlockingCallInCoroutineRule(Rule):
                         f"does synchronous file I/O on the event loop",
                     )
                     continue
-                origin = _resolve(aliases, func)
                 if origin in _BLOCKING_CALLS:
                     yield self.finding(
                         mod,
@@ -176,28 +122,9 @@ _SPAWN_CALLS = frozenset({"asyncio.create_task", "asyncio.ensure_future"})
 _SPAWN_METHODS = frozenset({"create_task", "ensure_future"})
 
 
-def _asyncio_aliases(tree: ast.Module) -> dict[str, str]:
-    """Local-name -> dotted-origin map for the asyncio module."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "asyncio":
-                    aliases[alias.asname or "asyncio"] = (
-                        alias.name if alias.asname else "asyncio"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "asyncio":
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
 def _is_fire_and_forget_spawn(call: ast.Call, aliases: dict[str, str]) -> bool:
     """Does this call spawn a task (so discarding its result loses it)?"""
-    origin = _resolve(aliases, call.func)
+    origin = resolve(aliases, call.func)
     if origin in _SPAWN_CALLS:
         return True
     func = call.func
@@ -229,8 +156,8 @@ class FireAndForgetTaskRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(ASYNC_PACKAGES):
             return
-        aliases = _asyncio_aliases(mod.tree)
-        for node in ast.walk(mod.tree):
+        aliases = mod.import_aliases(frozenset({"asyncio"}))
+        for node in mod.nodes(ast.Expr, ast.Assign):
             # A spawn as a bare expression statement: the only reference
             # to the new task is dropped on the spot.
             discarded: ast.Call | None = None
@@ -321,30 +248,9 @@ def _shared_reads(node: ast.expr) -> Iterator[str]:
         stack.extend(ast.iter_child_nodes(cur))
 
 
-def _contains_await(node: ast.AST) -> bool:
-    """Does this expression await, on its own stack (no nested scopes)?"""
-    stack: list[ast.AST] = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(cur, ast.Await):
-            return True
-        stack.extend(ast.iter_child_nodes(cur))
-    return False
-
-
 def _count_awaits(node: ast.AST) -> int:
-    count = 0
-    stack: list[ast.AST] = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(cur, ast.Await):
-            count += 1
-        stack.extend(ast.iter_child_nodes(cur))
-    return count
+    """Awaits in this expression, on its own stack (no nested scopes)."""
+    return sum(isinstance(cur, ast.Await) for cur in own_scope(node))
 
 
 def _looks_like_lock(item: ast.withitem) -> bool:
@@ -464,11 +370,11 @@ class _CoroutineRaceScan:
 
     def _aug_assign(self, stmt: ast.AugAssign) -> None:
         key = _shared_key(stmt.target)
-        had_await = _contains_await(stmt.value)
-        self.awaits += _count_awaits(stmt.value)
+        awaits = _count_awaits(stmt.value)
+        self.awaits += awaits
         if key is None:
             return
-        if had_await and not self.locks:
+        if awaits and not self.locks:
             self.races.append(
                 (
                     stmt.lineno,
@@ -481,16 +387,16 @@ class _CoroutineRaceScan:
 
     def _assign(self, stmt: ast.Assign) -> None:
         rhs_keys = set(_shared_reads(stmt.value))
-        had_await = _contains_await(stmt.value)
         rhs_names = {
             n.id for n in ast.walk(stmt.value) if isinstance(n, ast.Name)
         }
-        self.awaits += _count_awaits(stmt.value)
+        awaits = _count_awaits(stmt.value)
+        self.awaits += awaits
         for target in stmt.targets:
             key = _shared_key(target)
             if key is None:
                 continue
-            if had_await and key in rhs_keys and not self.locks:
+            if awaits and key in rhs_keys and not self.locks:
                 self.races.append(
                     (
                         stmt.lineno,
@@ -552,9 +458,7 @@ class AwaitBoundaryRaceRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(ASYNC_PACKAGES):
             return
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
+        for node in mod.nodes(ast.AsyncFunctionDef):
             scan = _CoroutineRaceScan()
             scan.scan(node)
             for line, col, key, why in scan.races:

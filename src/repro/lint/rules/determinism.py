@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import Iterator, TypeVar
 
-from ..context import ModuleUnderLint
+from ..context import ModuleUnderLint, resolve
 from ..findings import LintFinding
+from ..project import ENTROPY_ORIGINS, WALL_CLOCK_ORIGINS
 from ..registry import Rule, register
 
 #: packages whose entire contents must be deterministic
@@ -38,85 +39,67 @@ DET_PACKAGES: tuple[str, ...] = (
 #: module roots whose imports we track for alias-aware call resolution
 _TRACKED_ROOTS = frozenset({"random", "time", "datetime", "os", "uuid", "secrets"})
 
-_WALL_CLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-_ENTROPY = frozenset(
-    {
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "random.SystemRandom",
-    }
-)
-
 #: builtins that consume an iterable order-insensitively (or sort it)
 _ORDER_SAFE_CALLS = frozenset(
     {"sorted", "min", "max", "sum", "len", "any", "all", "set", "frozenset"}
 )
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to dotted origins for the tracked modules.
-
-    ``import random as r`` -> ``{"r": "random"}``;
-    ``from random import shuffle as s`` -> ``{"s": "random.shuffle"}``;
-    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _TRACKED_ROOTS:
-                    aliases[alias.asname or root] = (
-                        alias.name if alias.asname else root
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
+_N = TypeVar("_N", bound=ast.AST)
 
 
-def _resolve(aliases: dict[str, str], node: ast.expr) -> str | None:
-    """Dotted origin of an attribute chain, via the import alias map."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
+def _in_scope(mod: ModuleUnderLint, found: list[_N]) -> list[_N]:
+    """The nodes inside the determinism scope (the package test is
+    constant per module, so it runs once per check, not per node)."""
+    if mod.in_packages(DET_PACKAGES):
+        return found
+    return [node for node in found if mod.in_protocol_class(node)]
 
 
-def _scoped(mod: ModuleUnderLint, node: ast.AST) -> bool:
-    """Is this node inside the determinism scope?"""
-    return mod.in_packages(DET_PACKAGES) or mod.in_protocol_class(node)
-
-
-def _iter_scoped_calls(
+def _scoped_calls(
     mod: ModuleUnderLint,
-) -> Iterator[tuple[ast.Call, dict[str, str]]]:
-    aliases = _import_aliases(mod.tree)
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Call) and _scoped(mod, node):
-            yield node, aliases
+) -> Iterator[tuple[ast.Call, str | None]]:
+    """In-scope calls with the dotted origin of their callee."""
+    aliases = mod.import_aliases(_TRACKED_ROOTS)
+    for call in _in_scope(mod, mod.nodes(ast.Call)):
+        yield call, resolve(aliases, call.func)
+
+
+def _order_safe_iters(mod: ModuleUnderLint) -> set[int]:
+    """ids of iterables consumed order-insensitively (``sorted(s)``)."""
+    safe: set[int] = set()
+    for node in mod.nodes(ast.Call):
+        if isinstance(node.func, ast.Name) and node.func.id in _ORDER_SAFE_CALLS:
+            for arg in node.args:
+                safe.add(id(arg))
+                # ``sum(f(x) for x in s)`` consumes the *comprehension*
+                # order-insensitively, so its generators are safe too
+                if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                    for gen in arg.generators:
+                        safe.add(id(gen.iter))
+    return safe
+
+
+def _iterations(
+    nodes: list[ast.AST], consumers: frozenset[str], methods: frozenset[str]
+) -> Iterator[tuple[ast.expr, str]]:
+    """Every iterated expression with a label for what iterates it:
+    for loops, comprehension generators, and the arguments of
+    ``consumers(...)`` calls and ``<obj>.<method>(...)`` calls."""
+    for node in nodes:
+        if isinstance(node, ast.For):
+            yield node.iter, "for loop"
+        elif isinstance(node, _COMPREHENSIONS):
+            for gen in node.generators:
+                yield gen.iter, "comprehension"
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in consumers:
+                for arg in node.args:
+                    yield arg, f"{node.func.id}()"
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in methods:
+                for arg in node.args:
+                    yield arg, f"str.{node.func.attr}()"
 
 
 @register
@@ -133,8 +116,7 @@ class UnseededRandomRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for call, aliases in _iter_scoped_calls(mod):
-            origin = _resolve(aliases, call.func)
+        for call, origin in _scoped_calls(mod):
             if origin is None or not origin.startswith("random."):
                 continue
             leaf = origin.split(".", 1)[1]
@@ -174,9 +156,8 @@ class WallClockRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for call, aliases in _iter_scoped_calls(mod):
-            origin = _resolve(aliases, call.func)
-            if origin in _WALL_CLOCK:
+        for call, origin in _scoped_calls(mod):
+            if origin in WALL_CLOCK_ORIGINS:
                 yield self.finding(
                     mod,
                     call.lineno,
@@ -198,11 +179,10 @@ class AmbientEntropyRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for call, aliases in _iter_scoped_calls(mod):
-            origin = _resolve(aliases, call.func)
+        for call, origin in _scoped_calls(mod):
             if origin is None:
                 continue
-            if origin in _ENTROPY or origin.startswith("secrets."):
+            if origin in ENTROPY_ORIGINS or origin.startswith("secrets."):
                 yield self.finding(
                     mod,
                     call.lineno,
@@ -214,10 +194,10 @@ class AmbientEntropyRule(Rule):
 class _SetishIndex:
     """Best-effort inference of which expressions/names are bare sets."""
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, mod: ModuleUnderLint) -> None:
         self.set_names: set[str] = set()
         unset: set[str] = set()
-        for node in ast.walk(tree):
+        for node in mod.nodes(ast.Assign, ast.AnnAssign, ast.arg):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -279,56 +259,20 @@ class SetIterationRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        index = _SetishIndex(mod.tree)
-        safe_iters: set[int] = set()
-        for node in ast.walk(mod.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in _ORDER_SAFE_CALLS
-            ):
-                for arg in node.args:
-                    safe_iters.add(id(arg))
-                    # ``sum(f(x) for x in s)`` consumes the *comprehension*
-                    # order-insensitively, so its generators are safe too
-                    if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-                        for gen in arg.generators:
-                            safe_iters.add(id(gen.iter))
-
-        def flag(expr: ast.expr, what: str) -> Iterator[LintFinding]:
-            if id(expr) in safe_iters:
-                return
-            if index.is_setish(expr):
+        index = _SetishIndex(mod)
+        safe_iters = _order_safe_iters(mod)
+        scoped = _in_scope(mod, mod.nodes(ast.For, *_COMPREHENSIONS, ast.Call))
+        iterations = _iterations(
+            scoped, frozenset({"list", "tuple"}), frozenset({"join"})
+        )
+        for expr, what in iterations:
+            if id(expr) not in safe_iters and index.is_setish(expr):
                 yield self.finding(
                     mod,
                     expr.lineno,
                     expr.col_offset,
                     f"{what} iterates a bare set in nondeterministic order",
                 )
-
-        for node in ast.walk(mod.tree):
-            if not _scoped(mod, node):
-                continue
-            if isinstance(node, ast.For):
-                yield from flag(node.iter, "for loop")
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    yield from flag(gen.iter, "comprehension")
-            elif isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in {
-                    "list",
-                    "tuple",
-                }:
-                    for arg in node.args:
-                        yield from flag(arg, f"{node.func.id}()")
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "join"
-                ):
-                    for arg in node.args:
-                        yield from flag(arg, "str.join()")
 
 
 @register
@@ -348,13 +292,8 @@ class IdentityKeyRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for node in ast.walk(mod.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "id"
-                and _scoped(mod, node)
-            ):
+        for node in _in_scope(mod, mod.nodes(ast.Call)):
+            if isinstance(node.func, ast.Name) and node.func.id == "id":
                 yield self.finding(
                     mod,
                     node.lineno,
@@ -386,10 +325,10 @@ class _WorklistIndex:
     annotation.  One opaque or set-flavoured binding makes it suspect.
     """
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, mod: ModuleUnderLint) -> None:
         self.ordered: set[str] = set()
         suspect: set[str] = set()
-        for node in ast.walk(tree):
+        for node in mod.nodes(ast.Assign, ast.AnnAssign, ast.arg):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and _WORKLIST_NAME.search(
@@ -475,27 +414,14 @@ class UnorderedWorklistRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(self._PACKAGES):
             return
-        index = _WorklistIndex(mod.tree)
-        safe_iters: set[int] = set()
-        for node in ast.walk(mod.tree):
+        index = _WorklistIndex(mod)
+        safe_iters = _order_safe_iters(mod)
+        nodes = mod.nodes(ast.For, *_COMPREHENSIONS, ast.Call)
+        consumers = frozenset({"list", "tuple", "enumerate"})
+        for expr, what in _iterations(nodes, consumers, frozenset()):
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in _ORDER_SAFE_CALLS
-            ):
-                for arg in node.args:
-                    safe_iters.add(id(arg))
-                    if isinstance(
-                        arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)
-                    ):
-                        for gen in arg.generators:
-                            safe_iters.add(id(gen.iter))
-
-        def flag(expr: ast.expr, what: str) -> Iterator[LintFinding]:
-            if id(expr) in safe_iters:
-                return
-            if (
-                isinstance(expr, ast.Name)
+                id(expr) not in safe_iters
+                and isinstance(expr, ast.Name)
                 and _WORKLIST_NAME.search(expr.id)
                 and expr.id not in index.ordered
             ):
@@ -506,20 +432,3 @@ class UnorderedWorklistRule(Rule):
                     f"{what} iterates worklist {expr.id!r} whose order "
                     f"is not provably deterministic",
                 )
-
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.For):
-                yield from flag(node.iter, "for loop")
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    yield from flag(gen.iter, "comprehension")
-            elif isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in {
-                    "list",
-                    "tuple",
-                    "enumerate",
-                }:
-                    for arg in node.args:
-                        yield from flag(arg, f"{node.func.id}()")

@@ -87,7 +87,7 @@ def _root_is_self(node: ast.expr) -> bool:
     return isinstance(root, ast.Name) and root.id in {"self", "cls"}
 
 
-def _new_bound_names(tree: ast.Module) -> set[str]:
+def _new_bound_names(mod: ModuleUnderLint) -> set[str]:
     """Names assigned from ``SomeClass.__new__(...)`` anywhere in the file.
 
     Persistent structures (History) allocate with ``__new__`` and fill
@@ -95,9 +95,7 @@ def _new_bound_names(tree: ast.Module) -> set[str]:
     construction, not mutation.
     """
     names: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
+    for node in mod.nodes(ast.Assign):
         value = node.value
         if (
             isinstance(value, ast.Call)
@@ -131,17 +129,16 @@ def _spine_attributes(target: ast.expr) -> Iterator[ast.Attribute]:
         cur = cur.value
 
 
-def _store_attributes(stmt: ast.stmt) -> Iterator[ast.Attribute]:
-    """Attribute nodes written to by an assignment statement."""
-    targets: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, ast.Delete):
-        targets = list(stmt.targets)
-    for target in targets:
-        yield from _spine_attributes(target)
+def _store_attributes(mod: ModuleUnderLint) -> Iterator[ast.Attribute]:
+    """Attribute nodes written to by the module's assignment statements."""
+    for stmt in mod.nodes(ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete):
+        targets: list[ast.expr] = []
+        if isinstance(stmt, (ast.Assign, ast.Delete)):
+            targets = list(stmt.targets)
+        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+            targets = [stmt.target]
+        for target in targets:
+            yield from _spine_attributes(target)
 
 
 @register
@@ -160,27 +157,22 @@ class ForeignPrivateWriteRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(_MODEL_PACKAGES):
             return
-        new_bound = _new_bound_names(mod.tree)
-        for node in ast.walk(mod.tree):
-            if not isinstance(
-                node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
-            ):
+        new_bound = _new_bound_names(mod)
+        for attr in _store_attributes(mod):
+            if not attr.attr.startswith("_") or attr.attr.startswith("__"):
                 continue
-            for attr in _store_attributes(node):
-                if not attr.attr.startswith("_") or attr.attr.startswith("__"):
-                    continue
-                if _root_is_self(attr):
-                    continue
-                root = _attr_root(attr)
-                if isinstance(root, ast.Name) and root.id in new_bound:
-                    continue  # filling slots on a __new__-allocated object
-                yield self.finding(
-                    mod,
-                    attr.lineno,
-                    attr.col_offset,
-                    f"post-construction write to foreign private "
-                    f"attribute .{attr.attr}",
-                )
+            if _root_is_self(attr):
+                continue
+            root = _attr_root(attr)
+            if isinstance(root, ast.Name) and root.id in new_bound:
+                continue  # filling slots on a __new__-allocated object
+            yield self.finding(
+                mod,
+                attr.lineno,
+                attr.col_offset,
+                f"post-construction write to foreign private "
+                f"attribute .{attr.attr}",
+            )
 
 
 @register
@@ -199,20 +191,15 @@ class KernelTableWriteRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if mod.module in KERNEL_MODULES:
             return
-        for node in ast.walk(mod.tree):
-            if not isinstance(
-                node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
-            ):
-                continue
-            for attr in _store_attributes(node):
-                if attr.attr in KERNEL_INTERNAL_ATTRS and not _root_is_self(attr):
-                    yield self.finding(
-                        mod,
-                        attr.lineno,
-                        attr.col_offset,
-                        f"write to kernel-internal table .{attr.attr} "
-                        f"outside {', '.join(sorted(KERNEL_MODULES)[:1])}...",
-                    )
+        for attr in _store_attributes(mod):
+            if attr.attr in KERNEL_INTERNAL_ATTRS and not _root_is_self(attr):
+                yield self.finding(
+                    mod,
+                    attr.lineno,
+                    attr.col_offset,
+                    f"write to kernel-internal table .{attr.attr} "
+                    f"outside {', '.join(sorted(KERNEL_MODULES)[:1])}...",
+                )
 
 
 @register
@@ -233,14 +220,8 @@ class ArenaBufferWriteRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if mod.in_packages(_ARENA_PACKAGES):
             return
-        for node in ast.walk(mod.tree):
-            if not isinstance(
-                node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
-            ):
-                continue
-            for attr in _store_attributes(node):
-                if attr.attr not in ARENA_BUFFER_ATTRS:
-                    continue
+        for attr in _store_attributes(mod):
+            if attr.attr in ARENA_BUFFER_ATTRS:
                 yield self.finding(
                     mod,
                     attr.lineno,
@@ -266,14 +247,7 @@ class SetattrEscapeRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        functions = [
-            (node.lineno, node.end_lineno or node.lineno, node.name)
-            for node in ast.walk(mod.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in mod.nodes(ast.Call):
             func = node.func
             if not (
                 isinstance(func, ast.Attribute)
@@ -282,18 +256,13 @@ class SetattrEscapeRule(Rule):
                 and func.value.id == "object"
             ):
                 continue
-            enclosing = [
-                (last - first, name)
-                for first, last, name in functions
-                if first <= node.lineno <= last
-            ]
-            if enclosing and min(enclosing)[1] in _CONSTRUCTION_METHODS:
+            where = mod.enclosing_function(node.lineno)
+            if where in _CONSTRUCTION_METHODS:
                 continue
-            where = min(enclosing)[1] if enclosing else "module scope"
             yield self.finding(
                 mod,
                 node.lineno,
                 node.col_offset,
-                f"object.{func.attr} in {where!r} mutates a frozen "
-                "object after construction",
+                f"object.{func.attr} in {where or 'module scope'!r} mutates "
+                "a frozen object after construction",
             )

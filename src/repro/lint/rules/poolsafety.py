@@ -14,21 +14,8 @@ from typing import Iterator
 
 from ..context import ModuleUnderLint
 from ..findings import LintFinding, Severity
+from ..project import SPEC_FACTORY_NAMES
 from ..registry import Rule, register
-
-#: constructors whose arguments travel to pool workers
-SPEC_FACTORY_NAMES = frozenset(
-    {
-        "RunSpec",
-        "EnsembleSpec",
-        "ExploreSpec",
-        "UniformProtocol",
-        "ConsensusProtocol",
-        "GossipProtocol",
-        "FullInformationProtocol",
-        "uniform_protocol",
-    }
-)
 
 #: driver-side packages exempt from module-state checks (the harness
 #: registry is an intentional import-time singleton, never pickled)
@@ -61,9 +48,7 @@ class LambdaInSpecRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in mod.nodes(ast.Call):
             name = _call_name(node.func)
             if name not in SPEC_FACTORY_NAMES:
                 continue
@@ -123,15 +108,14 @@ class ModuleMutableStateRule(Rule):
                         f"module-level mutable container {target.id!r} "
                         "diverges across pool workers",
                     )
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Global):
-                yield self.finding(
-                    mod,
-                    node.lineno,
-                    node.col_offset,
-                    f"global statement rebinding {', '.join(node.names)} "
-                    "is per-process state",
-                )
+        for node in mod.nodes(ast.Global):
+            yield self.finding(
+                mod,
+                node.lineno,
+                node.col_offset,
+                f"global statement rebinding {', '.join(node.names)} "
+                "is per-process state",
+            )
 
     @staticmethod
     def _is_mutable_literal(node: ast.expr) -> bool:
@@ -159,21 +143,9 @@ class LocalClassRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        functions = [
-            (node.lineno, node.end_lineno or node.lineno, node.name)
-            for node in ast.walk(mod.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            enclosing = [
-                (last - first, name)
-                for first, last, name in functions
-                if first <= node.lineno <= last
-            ]
-            if enclosing:
-                _, name = min(enclosing)
+        for node in mod.nodes(ast.ClassDef):
+            name = mod.enclosing_function(node.lineno)
+            if name is not None:
                 yield self.finding(
                     mod,
                     node.lineno,

@@ -10,11 +10,16 @@ in files that were never re-parsed.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro.lint
 from repro.lint import LintFinding, ModuleUnderLint, Severity, lint_paths
 from repro.lint.baseline import (
     apply_baseline,
@@ -361,6 +366,47 @@ class TestIncrementalCache:
             [root], select=lambda rid: rid == "ASY003", cache_dir=cache_dir
         )
         assert narrowed.files_reparsed == 2  # different ruleset signature
+
+    def test_cache_from_a_different_analyzer_is_discarded(
+        self, tmp_path: Path
+    ) -> None:
+        """The cache is keyed on the analyzer's own sources: an edit
+        anywhere under repro/lint discards every entry (stale findings
+        and summaries are never replayed), while an unchanged copy of
+        the analyzer at another location reuses them."""
+        root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_BLOCKING})
+        cache_dir = tmp_path / "cache"
+        assert lint_paths([root], cache_dir=cache_dir).files_reparsed == 2
+
+        analyzer = tmp_path / "analyzer"
+        shutil.copytree(
+            Path(repro.lint.__file__).parent,
+            analyzer / "repro" / "lint",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (analyzer / "repro" / "__init__.py").write_text("")
+        script = (
+            "import sys; from pathlib import Path; import repro.lint as L; "
+            "r = L.lint_paths([Path(sys.argv[1])], cache_dir=Path(sys.argv[2])); "
+            "print(L.__file__); print(r.files_reparsed)"
+        )
+
+        def reparsed_by_copy() -> int:
+            env = {**os.environ, "PYTHONPATH": str(analyzer)}
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(root), str(cache_dir)],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.split()
+            assert out[0].startswith(str(analyzer)), out
+            return int(out[1])
+
+        assert reparsed_by_copy() == 0
+        rule_file = analyzer / "repro" / "lint" / "rules" / "asyncrules.py"
+        rule_file.write_text(rule_file.read_text() + "\n# a changed analyzer\n")
+        assert reparsed_by_copy() == 2
 
     def test_corrupt_cache_degrades_to_cold_run(self, tmp_path: Path) -> None:
         root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_BLOCKING})

@@ -10,8 +10,11 @@ rules stay quiet on the adjacent known-good code in the same file.
 
 from __future__ import annotations
 
+import ast
+import json
 import re
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -26,7 +29,9 @@ from repro.lint import (
 )
 from repro.lint.context import module_name_for_path
 
+REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
+GOLDEN_REPORT = FIXTURES / "report.golden.json"
 
 _EXPECT_RE = re.compile(r"expect:\s*([A-Z]+[0-9]+)")
 
@@ -150,3 +155,38 @@ def test_source_tree_is_lint_clean() -> None:
     assert report.findings == (), "\n".join(
         f.render() for f in report.findings
     )
+
+
+def test_fixture_report_matches_golden(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The whole fixture report is pinned byte for byte: rule, line,
+    column, message, severity and hint of every finding, not just the
+    ``(line, rule)`` pairs the expect markers carry.  Display paths are
+    cwd-relative, so the run is pinned to the repo root.  After an
+    intended analyzer change, regenerate from the repo root with
+    ``PYTHONPATH=src python -m repro.lint tests/fixtures/lint --format json
+    > tests/fixtures/lint/report.golden.json``."""
+    monkeypatch.chdir(REPO)
+    report = lint_paths([Path("tests/fixtures/lint")])
+    rendered = json.dumps(report.as_dict(), indent=2, sort_keys=False) + "\n"
+    assert rendered == GOLDEN_REPORT.read_text()
+
+
+def test_cold_lint_walks_each_module_tree_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """Rules read the node index ModuleUnderLint builds at construction
+    instead of re-walking the module: a cold run calls ``ast.walk`` on
+    each parsed module root exactly once (subtree walks are fine)."""
+    real_walk = ast.walk
+    root_walks = 0
+
+    def counting_walk(node: ast.AST) -> Iterator[ast.AST]:
+        nonlocal root_walks
+        if isinstance(node, ast.Module):
+            root_walks += 1
+        return real_walk(node)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    report = lint_paths([REPO / "src" / "repro"])
+    assert report.files_reparsed > 100
+    assert root_walks == report.files_reparsed
