@@ -24,7 +24,16 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.model.events import ActionId, Message, ProcessId
+from repro.model.events import (
+    ActionId,
+    DoEvent,
+    Event,
+    InitEvent,
+    Message,
+    ProcessId,
+    ReceiveEvent,
+    SendEvent,
+)
 from repro.model.run import Point
 
 
@@ -113,7 +122,24 @@ FALSE = _Const(False)
 # -- primitive propositions over histories -------------------------------------
 
 
-class Inited(Formula):
+class Occurrence(Formula):
+    """A primitive that holds at a history iff one of its events matches.
+
+    ``init``, ``do``, ``send`` and ``recv`` are all of this shape, so the
+    value at a history is the value at its parent OR whether its last
+    event matches; the model checker evaluates them incrementally along
+    the history chain.  The ``locality`` process is the one whose history
+    records the event.
+    """
+
+    __slots__ = ()
+
+    def matches(self, event: Event | None) -> bool:
+        """True iff ``event`` witnesses this proposition (None never does)."""
+        raise NotImplementedError
+
+
+class Inited(Occurrence):
     """init_p(alpha) holds at a cut iff the event is in p's history there."""
 
     __slots__ = ("process", "action")
@@ -123,11 +149,14 @@ class Inited(Formula):
         self.process = process
         self.action = action
 
+    def matches(self, event: Event | None) -> bool:
+        return isinstance(event, InitEvent) and event.action == self.action
+
     def label(self) -> str:
         return f"init_{self.process}({self.action!r})"
 
 
-class Did(Formula):
+class Did(Occurrence):
     """do_p(alpha)."""
 
     __slots__ = ("process", "action")
@@ -136,6 +165,9 @@ class Did(Formula):
         super().__init__(locality=process, syntactically_stable=True)
         self.process = process
         self.action = action
+
+    def matches(self, event: Event | None) -> bool:
+        return isinstance(event, DoEvent) and event.action == self.action
 
     def label(self) -> str:
         return f"do_{self.process}({self.action!r})"
@@ -154,7 +186,7 @@ class Crashed(Formula):
         return f"crash({self.process})"
 
 
-class Sent(Formula):
+class Sent(Occurrence):
     """send_p(q, msg); with msg=None, "p has sent something to q"."""
 
     __slots__ = ("sender", "receiver", "message")
@@ -167,11 +199,18 @@ class Sent(Formula):
         self.receiver = receiver
         self.message = message
 
+    def matches(self, event: Event | None) -> bool:
+        return (
+            isinstance(event, SendEvent)
+            and event.receiver == self.receiver
+            and (self.message is None or event.message == self.message)
+        )
+
     def label(self) -> str:
         return f"send_{self.sender}({self.receiver}, {self.message!r})"
 
 
-class Received(Formula):
+class Received(Occurrence):
     """recv_q(p, msg); with msg=None, "q has received something from p"."""
 
     __slots__ = ("receiver", "sender", "message")
@@ -183,6 +222,13 @@ class Received(Formula):
         self.receiver = receiver
         self.sender = sender
         self.message = message
+
+    def matches(self, event: Event | None) -> bool:
+        return (
+            isinstance(event, ReceiveEvent)
+            and event.sender == self.sender
+            and (self.message is None or event.message == self.message)
+        )
 
     def label(self) -> str:
         return f"recv_{self.receiver}({self.sender}, {self.message!r})"

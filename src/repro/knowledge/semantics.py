@@ -15,7 +15,9 @@ which makes this exact for the formulas the paper's properties use.
 
 Memoization: per formula node,
 * local formulas cache on (formula, local history) -- knowledge and all
-  history primitives hit this path;
+  history primitives hit this path; the occurrence primitives (init, do,
+  send, recv) fill it incrementally, each history from its parent's
+  entry, so a run's prefixes are never rescanned;
 * temporal formulas cache a whole per-run truth vector computed by one
   backward sweep;
 * everything else caches on (formula, run, m).
@@ -31,15 +33,12 @@ from repro.knowledge.formulas import (
     Box,
     Crashed,
     Diamond,
-    Did,
     Formula,
     Implies,
-    Inited,
     Knows,
     Not,
+    Occurrence,
     Or,
-    Received,
-    Sent,
     _Const,
 )
 from repro.model.events import ProcessId
@@ -56,7 +55,7 @@ class ModelChecker:
         self._local_cache: dict[tuple[Formula, ProcessId, History], bool] = {}
         self._point_cache: dict[tuple[Formula, int, int], bool] = {}
         self._temporal_cache: dict[tuple[Formula, int], list[bool]] = {}
-        self._run_ids = {run: i for i, run in enumerate(system.runs)}
+        # Runs of the system use their position (System.run_index).
         # Foreign runs (not in the system) get identity-based negative
         # ids.  The dict is keyed by id(run) and the list pins a strong
         # reference to every such run, so a foreign run's id() can never
@@ -101,7 +100,7 @@ class ModelChecker:
     # -- evaluation --------------------------------------------------------------
 
     def _run_id(self, run: Run) -> int:
-        rid = self._run_ids.get(run)
+        rid = self.system.run_index(run)
         if rid is None:  # a foreign run: identity-keyed, reference-pinned
             # audited: _foreign_refs pins each keyed run for the checker's
             # lifetime, so its id() can never be recycled to another object
@@ -170,25 +169,42 @@ class ModelChecker:
         self._temporal_cache[key] = vector
         return vector
 
+    def _occurred(self, formula: Occurrence, point: Point) -> bool:
+        """An occurrence primitive at ``point``, incrementally.
+
+        The value at history h is the value at h's parent OR whether h's
+        last event matches.  Walk back only to the nearest prefix already
+        in the local memo (or the empty history, where it is False), then
+        memoize every prefix on the way forward.
+        """
+        cache = self._local_cache
+        process = formula.locality
+        assert process is not None  # the process recording the event
+        pending: list[History] = []
+        value = False
+        node: History | None = point.history(process)
+        while node:  # stops at the empty history (len 0) or None
+            known = cache.get((formula, process, node))
+            if known is not None:
+                value = known
+                break
+            pending.append(node)
+            node = node.parent
+        matches = formula.matches
+        for node in reversed(pending):
+            value = value or matches(node.last)
+            cache[(formula, process, node)] = value
+        return value
+
     def _eval_node(self, formula: Formula, point: Point) -> bool:
         if isinstance(formula, _Const):
             return formula.value
         if isinstance(formula, Atom):
             return formula.fn(point)
-        if isinstance(formula, Inited):
-            return point.history(formula.process).inited(formula.action)
-        if isinstance(formula, Did):
-            return point.history(formula.process).did(formula.action)
+        if isinstance(formula, Occurrence):
+            return self._occurred(formula, point)
         if isinstance(formula, Crashed):
             return point.history(formula.process).crashed
-        if isinstance(formula, Sent):
-            return point.history(formula.sender).sent(
-                formula.receiver, formula.message
-            )
-        if isinstance(formula, Received):
-            return point.history(formula.receiver).received(
-                formula.sender, formula.message
-            )
         if isinstance(formula, Not):
             return not self._eval(formula.child, point)
         if isinstance(formula, And):

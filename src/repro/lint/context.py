@@ -28,7 +28,9 @@ from typing import Any, Iterator, TypeVar, overload
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*lint-ok\[([A-Za-z0-9_,\s]*)\]")
 #: malformed variant (``lint-ok`` without a bracketed rule list)
 _SUPPRESS_LOOSE_RE = re.compile(r"#\s*repro:\s*lint-ok(?!\[)")
-#: fixture module override: ``# repro: lint-module[repro.sim.fake]``
+#: fixture module override: ``# repro: lint-module[repro.sim.fake]``;
+#: anchored at the comment's start (used with ``match``), so a doc comment
+#: that merely quotes the syntax -- like this one -- is not an override
 _MODULE_RE = re.compile(r"#\s*repro:\s*lint-module\[([A-Za-z0-9_.]+)\]")
 
 #: base-class names marking "this class implements the Protocol
@@ -214,7 +216,7 @@ class ModuleUnderLint:
         except tokenize.TokenError:  # pragma: no cover - ast.parse catches first
             comments = []
         for lineno, text in comments:
-            override = _MODULE_RE.search(text)
+            override = _MODULE_RE.match(text)
             if override:
                 self.module = override.group(1)
             match = _SUPPRESS_RE.search(text)

@@ -31,6 +31,7 @@ KERNEL_INTERNAL_ATTRS = frozenset(
         "_interner",
         "_table",
         "_run_pos",
+        "_run_aliases",
         "_run_value_pos",
         "_prefixes",
         "_timelines",

@@ -140,6 +140,13 @@ class History:
         return self._event if self._len else None
 
     @property
+    def parent(self) -> "History | None":
+        """This history minus its last event; None for the empty history."""
+        if not self._len:
+            return None
+        return self._parent if self._parent is not None else EMPTY_HISTORY
+
+    @property
     def crashed(self) -> bool:
         """True iff the history ends in a crash event (R4 makes it last)."""
         return self._len > 0 and isinstance(self._event, CrashEvent)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.model.events import (
@@ -36,6 +37,9 @@ from repro.model.events import (
 from repro.model.history import Cut, EMPTY_HISTORY, History
 
 Timeline = tuple[tuple[int, Event], ...]
+
+#: sort key of a timeline entry: its (strictly increasing) time
+_EVENT_TIME = itemgetter(0)
 
 
 class RunValidationError(ValueError):
@@ -157,24 +161,21 @@ class Run:
 
     # -- the run-as-function view --------------------------------------------
 
-    def _event_count_at(self, process: ProcessId, time: int) -> int:
-        """Number of events in ``process``'s history at ``time``."""
-        timeline = self._timelines[process]
-        # times are strictly increasing; count entries with t <= time
-        times = [t for t, _ in timeline]
-        return bisect_right(times, time)
-
     def history(self, process: ProcessId, time: int | None = None) -> History:
         """p's history in the cut r(time); the final history if time is None.
 
         Times beyond the duration return the final history (the
-        final-cut-repeats-forever convention).
+        final-cut-repeats-forever convention).  The timeline is itself
+        the sorted times column: one bisect reads it in place, so the
+        call allocates nothing.
         """
         if time is None:
             time = self._duration
-        if time < 0:
+        elif time < 0:
             raise ValueError("time must be non-negative")
-        count = self._event_count_at(process, min(time, self._duration))
+        count = bisect_right(
+            self._timelines[process], min(time, self._duration), key=_EVENT_TIME
+        )
         return self._prefix_list(process)[count]
 
     def final_history(self, process: ProcessId) -> History:
@@ -207,7 +208,7 @@ class Run:
     def faulty(self) -> frozenset[ProcessId]:
         """F(r): the processes whose history contains a crash event."""
         return frozenset(
-            p for p in self._processes if self.final_history(p).crashed
+            p for p in self._processes if self.crash_time(p) is not None
         )
 
     def correct(self) -> frozenset[ProcessId]:
@@ -451,8 +452,11 @@ def r5_violations(
     never received the message.
     """
     violations: list[tuple[ProcessId, ProcessId, object, int]] = []
+    # (sender, message) pairs each receiver ever received, read off its
+    # timeline once on first need instead of rescanning a history per pair.
+    receipts: dict[ProcessId, set[tuple[ProcessId, Message]]] = {}
     for p in run.processes:
-        send_counts: dict[tuple[ProcessId, object], list[int]] = {}
+        send_counts: dict[tuple[ProcessId, Message], list[int]] = {}
         for t, event in run.timeline(p):
             if isinstance(event, SendEvent):
                 send_counts.setdefault((event.receiver, event.message), []).append(t)
@@ -461,7 +465,13 @@ def r5_violations(
                 continue
             if run.crash_time(q) is not None:
                 continue
-            received = run.final_history(q).received(p, message)
-            if not received:
+            got = receipts.get(q)
+            if got is None:
+                got = receipts[q] = {
+                    (e.sender, e.message)
+                    for _, e in run.timeline(q)
+                    if isinstance(e, ReceiveEvent)
+                }
+            if (p, message) not in got:
                 violations.append((p, q, message, len(times)))
     return violations

@@ -155,9 +155,12 @@ class System:
             total += run.duration + 1
         self._point_bases = bases
         self._point_total = total
-        # audited: every keyed run is strongly pinned by self._runs for the
-        # System's lifetime, so no live object can recycle these id()s
+        # audited: every keyed run is strongly pinned -- members by
+        # self._runs, equal non-member aliases (added by run_index) by
+        # self._run_aliases -- for the System's lifetime, so no live object
+        # can recycle these id()s
         self._run_pos: dict[int, int] = {id(r): i for i, r in enumerate(self._runs)}  # repro: lint-ok[DET005]
+        self._run_aliases: list[Run] = []
         self._run_value_pos: dict[Run, int] = {}
         for i, r in enumerate(self._runs):
             self._run_value_pos.setdefault(r, i)
@@ -171,7 +174,7 @@ class System:
         return iter(self._runs)
 
     def __contains__(self, run: Run) -> bool:
-        return run in self._runs
+        return self.run_index(run) is not None
 
     @property
     def runs(self) -> tuple[Run, ...]:
@@ -264,12 +267,24 @@ class System:
         return self._point_total
 
     def run_index(self, run: Run) -> int | None:
-        """Position of ``run`` in ``self.runs`` (identity first, then value)."""
-        # audited: a miss falls through to the value map, so an id() recycled
-        # from a dead run can only be asked about via a live (pinned) run
-        pos = self._run_pos.get(id(run))  # repro: lint-ok[DET005]
+        """Position of ``run`` in ``self.runs`` (identity first, then value).
+
+        A run equal to a member but a different object (a pickled clone,
+        or the same seed executed for another ensemble) is resolved by
+        value once; its id() is then recorded and the run pinned, so
+        repeated lookups skip ``Run.__eq__``.  Such a run resolves to the
+        first member it equals.
+        """
+        # audited: every id() in _run_pos belongs to a run pinned by
+        # self._runs or self._run_aliases, so it cannot be recycled while
+        # this System lives; a miss falls through to the value map
+        key = id(run)  # repro: lint-ok[DET005]
+        pos = self._run_pos.get(key)
         if pos is None:
             pos = self._run_value_pos.get(run)
+            if pos is not None:
+                self._run_pos[key] = pos
+                self._run_aliases.append(run)
         return pos
 
     def point_id(self, point: Point) -> int | None:

@@ -139,6 +139,40 @@ class TestWholeProgramAudit:
         assert leaked == [], f"event-loop blocking leaked into: {leaked}"
 
 
+class TestModuleOverrideAnchoring:
+    """``# repro: lint-module[...]`` only counts as a whole comment.
+
+    The doc comment above ``_MODULE_RE`` quotes the override syntax; an
+    unanchored search once made ``repro/lint/context.py`` lint (and
+    summarize) as the fake module it quotes."""
+
+    @staticmethod
+    def _summary_module(path: Path) -> str | None:
+        from repro.lint import ModuleUnderLint
+        from repro.lint.cache import file_digest
+        from repro.lint.project import summarize
+
+        source = path.read_text(encoding="utf-8")
+        mod = ModuleUnderLint(path, path.name, source)
+        return summarize(mod, file_digest(source.encode()), ()).module
+
+    def test_context_module_summarizes_under_its_own_name(self) -> None:
+        path = Path(__file__).parent.parent / "src" / "repro" / "lint" / "context.py"
+        assert "lint-module[repro.sim.fake]" in path.read_text(encoding="utf-8")
+        assert self._summary_module(path) == "repro.lint.context"
+
+    def test_fixture_overrides_still_apply(self) -> None:
+        fixtures = Path(__file__).parent / "fixtures" / "lint"
+        overridden = 0
+        for path in sorted(fixtures.glob("*.py")):
+            first = path.read_text(encoding="utf-8").splitlines()[0]
+            if first.startswith("# repro: lint-module["):
+                expected = first.split("[", 1)[1].rstrip("]")
+                assert self._summary_module(path) == expected, path.name
+                overridden += 1
+        assert overridden >= 10
+
+
 class TestSetOrderRegressions:
     def _checker(self) -> ModelChecker:
         procs = ("p1", "p2", "p3")
